@@ -1,5 +1,6 @@
 #include "serving/session_pipeline.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/versioned_state.h"
@@ -57,6 +58,20 @@ runSpan(const IStateModel &model, State &state, std::size_t from,
             outs[i - from] = out;
     }
     rng = ctx.rng();
+}
+
+/** Runs a whole chunk [start, end) on @p state, writing its outputs
+ *  to outs[0, end - start), and returns the clone taken at @p snap —
+ *  the snapshot the next boundary regenerates its replicas from. */
+StateHandle
+runChunk(const IStateModel &model, State &state, std::size_t start,
+         std::size_t snap, std::size_t end, util::Rng rng, double *outs,
+         TaskKind kind)
+{
+    runSpan(model, state, start, snap, rng, outs, kind);
+    StateHandle snapshot = state.clone();
+    runSpan(model, state, snap, end, rng, outs + (snap - start), kind);
+    return snapshot;
 }
 
 /** Wall seconds a finished span covered (0 for untraced spans). */
@@ -133,119 +148,104 @@ SessionPipeline::processChunk(std::size_t count)
     const auto istart = static_cast<std::int64_t>(start);
     const auto icount = static_cast<std::uint32_t>(count);
 
+    // The first chunk runs from the program's initial state — it is
+    // never speculative and commits as it is.  Every later chunk
+    // speculates its entry state: the alternative producer replays the
+    // last K inputs (streams: split(2000 + c)).
+    StateHandle working;
+    std::int64_t matchedCandidate = -1; // -2: nothing matched (abort).
+    obs::Span altSpan;
+    obs::Span valSpan;
+    std::vector<StateHandle> replicas;
+    std::vector<obs::Span> replicaSpans;
     if (c == 0) {
-        // The first chunk runs from the program's initial state — it
-        // is never speculative and commits as it is.
-        obs::Span body = rec.start(obs::SpanKind::ChunkBody, par, sess,
-                                   c, istart, icount);
-        StateHandle working = model_.initialState();
-        util::Rng rng = base_.split(1000);
-        runSpan(model_, *working, start, snap, rng,
-                result.outputs.data(), TaskKind::ChunkBody);
-        StateHandle snapshot = working->clone();
-        runSpan(model_, *working, snap, end, rng,
-                result.outputs.data() + (snap - start),
-                TaskKind::ChunkBody);
+        working = model_.initialState();
+    } else {
+        altSpan = rec.start(obs::SpanKind::AltProducer, par, sess, c,
+                            istart, icount, static_cast<std::int64_t>(K));
+        working = model_.coldState();
+        util::Rng alt_rng = base_.split(2000 + c);
+        runSpan(model_, *working, start >= K ? start - K : 0, start,
+                alt_rng, nullptr, TaskKind::AltProducer);
+        rec.finish(altSpan);
+
+        // Commit check (paper Fig. 6) before any speculative body runs
+        // — the strand runs a session's chunks one at a time, so
+        // boundary c-1 is already committed.  The entry state is
+        // compared against the committed final state; only on a miss
+        // are the R-1 original-state replicas regenerated from the
+        // committed snapshot (streams: split(3000 + (c-1)*128 + rep),
+        // replaying the boundary inputs [snap_{c-1}, end_{c-1})) and
+        // compared in order.  Replicas are independent — they fan out
+        // on the pool when one is available.
+        valSpan = rec.start(obs::SpanKind::Validation, par, sess, c,
+                            istart, icount);
+        std::int64_t compared = 1;
+        if (!model_.matches(*working, *committedFinal_)) {
+            matchedCandidate = -2;
+            replicas.resize(cfg_.numOriginalStates - 1);
+            replicaSpans.resize(replicas.size());
+            const auto regenerate = [&, val = valSpan.id](std::size_t rep) {
+                // The parent id is captured by value: a replica span
+                // records on whichever pool thread ran it, yet links
+                // to the validation span that asked for it.
+                obs::Span span = obs::SpanRecorder::global().start(
+                    obs::SpanKind::ReplicaRegen, val, sess, c, istart,
+                    icount, static_cast<std::int64_t>(rep));
+                StateHandle replica = committedSnapshot_->clone();
+                util::Rng rng = base_.split(3000 + (c - 1) * 128 + rep);
+                runSpan(model_, *replica, committedSnapStart_,
+                        committedEnd_, rng, nullptr,
+                        TaskKind::OriginalStateGen);
+                replicas[rep] = std::move(replica);
+                obs::SpanRecorder::global().finish(span);
+                replicaSpans[rep] = span;
+            };
+            if (pool_ && replicas.size() > 1) {
+                pool_->parallelFor(replicas.size(), regenerate);
+            } else {
+                for (std::size_t rep = 0; rep < replicas.size(); ++rep)
+                    regenerate(rep);
+            }
+            for (std::size_t rep = 0;
+                 matchedCandidate == -2 && rep < replicas.size(); ++rep) {
+                ++compared;
+                if (model_.matches(*working, *replicas[rep]))
+                    matchedCandidate = static_cast<std::int64_t>(rep);
+            }
+        }
+        valSpan.detail = compared;
+        rec.finish(valSpan);
+        MatchMetrics &mm = matchMetrics();
+        if (matchedCandidate == -1)
+            mm.first.inc();
+        else if (matchedCandidate >= 0)
+            mm.replica.inc();
+        else
+            mm.none.inc();
+    }
+
+    if (matchedCandidate != -2) {
+        // Commit: the body runs from the entry state just checked
+        // (streams: split(1000 + c)), so no speculative clone is kept.
+        if (c > 0)
+            ++commits_;
+        obs::Span body = rec.start(obs::SpanKind::ChunkBody, par, sess, c,
+                                   istart, icount);
+        StateHandle snapshot =
+            runChunk(model_, *working, start, snap, end,
+                     base_.split(1000 + c), result.outputs.data(),
+                     TaskKind::ChunkBody);
         rec.finish(body);
         obs::Span commit = rec.start(obs::SpanKind::Commit, par, sess, c,
-                                     istart, icount, /*detail=*/-1);
-        commitChunk(std::move(working), std::move(snapshot), snap, end);
-        rec.finish(commit);
-        nextInput_ = end;
-        ++chunkIndex_;
-        return result;
-    }
-
-    // Speculate chunk c: alternative producer replays the last K
-    // inputs (streams: split(2000 + c)), the entry state is cloned for
-    // the commit check, then the body runs (split(1000 + c)) with the
-    // snapshot clone splitting it at end-K.
-    obs::Span altSpan =
-        rec.start(obs::SpanKind::AltProducer, par, sess, c, istart,
-                  icount, static_cast<std::int64_t>(K));
-    StateHandle working = model_.coldState();
-    util::Rng alt_rng = base_.split(2000 + c);
-    const std::size_t alt_from = start >= K ? start - K : 0;
-    runSpan(model_, *working, alt_from, start, alt_rng, nullptr,
-            TaskKind::AltProducer);
-    StateHandle spec_entry = working->clone();
-    rec.finish(altSpan);
-    obs::Span bodySpan = rec.start(obs::SpanKind::ChunkBody, par, sess,
-                                   c, istart, icount);
-    util::Rng body_rng = base_.split(1000 + c);
-    runSpan(model_, *working, start, snap, body_rng,
-            result.outputs.data(), TaskKind::ChunkBody);
-    StateHandle snapshot = working->clone();
-    runSpan(model_, *working, snap, end, body_rng,
-            result.outputs.data() + (snap - start), TaskKind::ChunkBody);
-    rec.finish(bodySpan);
-
-    // Boundary c-1: regenerate the R-1 original-state replicas from
-    // the committed snapshot (streams: split(3000 + (c-1)*128 + rep)),
-    // replaying the boundary inputs [snap_{c-1}, end_{c-1}).  Replicas
-    // are independent — fan out on the pool when one is available; the
-    // commit check below stays strictly ordered either way.
-    const unsigned R = cfg_.numOriginalStates;
-    std::vector<StateHandle> replicas(R - 1);
-    std::vector<double> replicaSeconds(replicas.size(), 0.0);
-    const auto regenerate = [&, par, sess, c](std::size_t rep) {
-        // The parent id is captured by value: a replica span records
-        // on whichever pool thread ran it, yet still links to the
-        // strand's chunk-process span across threads.
-        obs::Span span = obs::SpanRecorder::global().start(
-            obs::SpanKind::ReplicaRegen, par, sess, c, istart, icount,
-            static_cast<std::int64_t>(rep));
-        StateHandle replica = committedSnapshot_->clone();
-        util::Rng rng = base_.split(3000 + (c - 1) * 128 + rep);
-        runSpan(model_, *replica, committedSnapStart_, committedEnd_,
-                rng, nullptr, TaskKind::OriginalStateGen);
-        replicas[rep] = std::move(replica);
-        obs::SpanRecorder::global().finish(span);
-        replicaSeconds[rep] = spanSeconds(span);
-    };
-    if (pool_ && replicas.size() > 1) {
-        pool_->parallelFor(replicas.size(), regenerate);
-    } else {
-        for (std::size_t rep = 0; rep < replicas.size(); ++rep)
-            regenerate(rep);
-    }
-
-    // Commit check (paper Fig. 6): the speculative entry state against
-    // the committed final state, then each replica in order.
-    obs::Span valSpan = rec.start(obs::SpanKind::Validation, par, sess,
-                                  c, istart, icount);
-    const bool matched_first =
-        model_.matches(*spec_entry, *committedFinal_);
-    bool matched = matched_first;
-    std::int64_t matchedCandidate = matched_first ? -1 : -2;
-    std::size_t candidatesCompared = 1;
-    for (std::size_t rep = 0; !matched && rep < replicas.size(); ++rep) {
-        matched = model_.matches(*spec_entry, *replicas[rep]);
-        ++candidatesCompared;
-        if (matched)
-            matchedCandidate = static_cast<std::int64_t>(rep);
-    }
-    valSpan.detail = static_cast<std::int64_t>(candidatesCompared);
-    rec.finish(valSpan);
-    auto &mm = matchMetrics();
-    if (matched_first)
-        mm.first.inc();
-    else if (matched)
-        mm.replica.inc();
-    else
-        mm.none.inc();
-
-    if (matched) {
-        ++commits_;
-        obs::Span commit = rec.start(obs::SpanKind::Commit, par, sess,
-                                     c, istart, icount,
-                                     matchedCandidate);
+                                     istart, icount, matchedCandidate);
         commitChunk(std::move(working), std::move(snapshot), snap, end);
         rec.finish(commit);
     } else {
-        // Abort: re-execute the chunk from the committed final state
-        // (streams: split(5000 + c)); the re-executed outputs replace
-        // the speculative ones.
+        // Abort: the speculative body never runs.  Re-execute the
+        // chunk from the committed final state (streams:
+        // split(5000 + c)); it is replaced by the re-executed state,
+        // so it is moved rather than cloned.
         ++aborts_;
         result.aborted = true;
         obs::Span abortSpan = rec.start(obs::SpanKind::Abort, par, sess,
@@ -253,59 +253,57 @@ SessionPipeline::processChunk(std::size_t count)
         if (obs::enabled()) {
             // Root-cause attribution while every candidate is alive:
             // where each comparison diverged, and what the abort cost
-            // in §V-B terms (the speculated body + alt-producer work
-            // is mispeculation; replicas and compares were extra
-            // computation either way).
+            // in §V-B terms (the alt producer is the only mispeculated
+            // work; replicas and compares are extra computation).  The
+            // replica fan-out's wall time is taken out of the
+            // validation span that encloses it, so the two stay
+            // disjoint.
             obs::AbortReport report;
             report.session = sess;
             report.chunk = c;
             report.firstInput = istart;
             report.inputCount = icount;
             report.spanId = abortSpan.id;
-            report.wastedBodySeconds = spanSeconds(bodySpan);
             report.wastedAltSeconds = spanSeconds(altSpan);
-            for (const double rs : replicaSeconds)
-                report.wastedReplicaSeconds += rs;
-            report.validateSeconds = spanSeconds(valSpan);
-            obs::AbortComparison first;
-            first.candidate = -1;
-            first.matched = matched_first;
-            fillPayloadDiff(*spec_entry, *committedFinal_, first);
-            report.comparisons.push_back(first);
-            for (std::size_t rep = 0; rep < replicas.size(); ++rep) {
-                obs::AbortComparison cmp;
-                cmp.candidate = static_cast<int>(rep);
-                cmp.matched = false;
-                fillPayloadDiff(*spec_entry, *replicas[rep], cmp);
-                report.comparisons.push_back(cmp);
+            obs::Span regen; // Wall interval of the replica fan-out.
+            regen.startNs = valSpan.endNs;
+            for (const obs::Span &rs : replicaSpans) {
+                report.wastedReplicaSeconds += spanSeconds(rs);
+                regen.startNs = std::min(regen.startNs, rs.startNs);
+                regen.endNs = std::max(regen.endNs, rs.endNs);
             }
+            report.validateSeconds =
+                std::max(0.0, spanSeconds(valSpan) - spanSeconds(regen));
             // Headline: the candidate the byte walk got furthest into
             // before diverging; ties go to the later candidate so a
             // replica is named over the committed final.
             std::uint64_t best = 0;
-            bool haveBest = false;
-            for (const obs::AbortComparison &cmp : report.comparisons) {
+            for (int cand = -1; cand < static_cast<int>(replicas.size());
+                 ++cand) {
+                obs::AbortComparison cmp;
+                cmp.candidate = cand;
+                fillPayloadDiff(*working,
+                                cand < 0 ? *committedFinal_
+                                         : *replicas[cand],
+                                cmp);
                 report.bytesCompared += cmp.bytesCompared;
-                if (!haveBest || cmp.bytesCompared >= best) {
+                if (cand < 0 || cmp.bytesCompared >= best) {
                     best = cmp.bytesCompared;
-                    haveBest = true;
-                    report.mismatchCandidate = cmp.candidate;
+                    report.mismatchCandidate = cand;
                     report.firstDiffBlock = cmp.firstDiffBlock;
                 }
+                report.comparisons.push_back(cmp);
             }
             obs::AbortLog::global().record(std::move(report));
         }
         const std::uint64_t reParent = abortSpan.id ? abortSpan.id : par;
         obs::Span reSpan = rec.start(obs::SpanKind::ReExec, reParent,
                                      sess, c, istart, icount);
-        StateHandle redo = committedFinal_->clone();
-        util::Rng redo_rng = base_.split(5000 + c);
-        runSpan(model_, *redo, start, snap, redo_rng,
-                result.outputs.data(), TaskKind::MispecReExec);
-        StateHandle redo_snapshot = redo->clone();
-        runSpan(model_, *redo, snap, end, redo_rng,
-                result.outputs.data() + (snap - start),
-                TaskKind::MispecReExec);
+        StateHandle redo = std::move(committedFinal_);
+        StateHandle redo_snapshot =
+            runChunk(model_, *redo, start, snap, end,
+                     base_.split(5000 + c), result.outputs.data(),
+                     TaskKind::MispecReExec);
         rec.finish(reSpan);
         obs::Span commit = rec.start(obs::SpanKind::Commit, reParent,
                                      sess, c, istart, icount,

@@ -7,16 +7,23 @@
  * input vector is.  A serving session learns its boundaries one at a
  * time — the runtime closes a chunk when it reaches the configured
  * size or when its age exceeds the session's latency budget — so the
- * protocol must run *incrementally*: speculate the newly closed chunk
- * from the alternative producer, regenerate the previous boundary's
- * original-state replicas, run the commit check, and either commit the
- * speculative outputs or re-execute from the committed state.
+ * protocol must run *incrementally*.  Because a session's chunks run
+ * one at a time, the previous boundary is always committed before the
+ * next chunk starts, so the pipeline checks before it speculates: the
+ * alternative producer builds the newly closed chunk's entry state,
+ * the commit check compares it against the committed final state and,
+ * only on that miss, regenerates the previous boundary's
+ * original-state replicas and compares them in order; then either the
+ * chunk body runs from the checked entry state and commits, or — on an
+ * abort, without ever running the speculative body — the chunk
+ * re-executes from the committed state.
  *
  * Determinism contract: every RNG stream is derived exactly as the
  * batch runtime derives it (body split(1000+c), alt producer
  * split(2000+c), replica split(3000+c*128+rep), re-execution
  * split(5000+c)), and the commit check compares against the committed
- * final state first and then each replica in order.  Therefore, for a
+ * final state first and then, only if that missed, each replica in
+ * order.  Therefore, for a
  * fixed (model, seed) and a fixed *closure trace* (the sequence of
  * chunk sizes), the outputs, commit decisions, and abort count are a
  * pure function of that trace — independent of wall-clock timing, of
@@ -27,23 +34,32 @@
  * (model, config, seed), across both commit protocols and both
  * StateVersioning modes — the oracle tests in tests/serving pin this.
  *
- * Two intentional structural differences from batch, neither of which
- * can change outputs: every chunk takes an end-of-chunk snapshot (the
- * batch runtime skips the last chunk's, but a stream never knows which
- * chunk is last — a clone consumes no RNG and does not perturb the
- * state), and replicas always regenerate from the *committed* snapshot
- * (the batch pipelined schedule launches them eagerly from speculative
- * snapshots, but discards and regenerates them with the same streams
- * whenever that snapshot failed to commit, so the surviving replica
- * states are identical).
+ * Structural differences from batch, none of which can change outputs
+ * (every stream is keyed by chunk index, never by when it runs):
+ *  - every chunk takes an end-of-chunk snapshot (the batch runtime
+ *    skips the last chunk's, but a stream never knows which chunk is
+ *    last — a clone consumes no RNG and does not perturb the state);
+ *  - replicas regenerate from the *committed* snapshot (the batch
+ *    pipelined schedule launches them eagerly from speculative
+ *    snapshots, but discards and regenerates them with the same
+ *    streams whenever that snapshot failed to commit, so the surviving
+ *    replica states are identical);
+ *  - replicas regenerate only when the committed final state does not
+ *    match (batch regenerates every boundary's replicas up front; an
+ *    unread replica feeds nothing, so skipping it is unobservable);
+ *  - the commit check runs before the chunk body, which then runs from
+ *    the checked entry state itself instead of a clone of it; an
+ *    aborting chunk skips its speculative body (whose outputs batch
+ *    computes and discards) and re-executes on the committed final
+ *    state it replaces instead of on a clone.
  *
  * Threading: a pipeline instance is single-strand — the serving
  * runtime guarantees at most one processChunk() call is in flight per
  * session.  Replica regeneration inside a call may fan out on the
- * shared ThreadPool (replicas are independent and write disjoint
- * slots; the commit check that consumes them stays sequential), which
- * is the only intra-session parallelism — cross-session parallelism
- * is the serving runtime's job.
+ * shared ThreadPool when more than one replica is needed (replicas are
+ * independent and write disjoint slots; the comparisons that consume
+ * them stay sequential), which is the only intra-session parallelism —
+ * cross-session parallelism is the serving runtime's job.
  */
 
 #ifndef REPRO_SERVING_SESSION_PIPELINE_H
@@ -77,7 +93,8 @@ class SessionPipeline
         unsigned altWindowK = 2;
 
         /** Original states per boundary including the chunk's own
-         *  final state (>= 1); R-1 replicas are regenerated. */
+         *  final state (>= 1); R-1 replicas are regenerated when the
+         *  committed final state does not match. */
         unsigned numOriginalStates = 1;
     };
 

@@ -131,10 +131,14 @@ TaskGraphExecutor::runNode(NodeId id)
     }
     node.successors.clear();
     --running_;
-    --unfinished_;
-    if (unfinished_ == 0)
-        idle_.notify_all();
+    // Hand successors off while this node still counts as unfinished:
+    // dispatchLocked() drops and re-takes the lock, and once
+    // unfinished_ reaches zero wait() may return and the owner destroy
+    // the executor.  After the decrement only the lock release touches
+    // it.
     dispatchLocked(lock);
+    if (--unfinished_ == 0)
+        idle_.notify_all();
 }
 
 void

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -195,6 +196,113 @@ TEST(SpanTrace, AbortPathEmitsCausalChainAndReport)
     for (const Span &s : snap.spans)
         found = found || s.id == rep.spanId;
     EXPECT_TRUE(found) << "report's Abort span must be in the trace";
+}
+
+/** Wall seconds @p s covered. */
+double
+spanSeconds(const Span &s)
+{
+    return static_cast<double>(s.endNs - s.startNs) * 1e-9;
+}
+
+TEST(SpanTrace, ReplicasRegenerateOnlyOnFirstCandidateMiss)
+{
+    // R = 3 on a config whose boundaries mix first-candidate commits,
+    // replica-rescued commits and aborts.  No pool: the replicas
+    // regenerate serially, so their summed time fits inside the
+    // fan-out's wall interval.
+    EmaModel::Config mc;
+    mc.inputs = 128;
+    mc.alpha = 0.5;
+    mc.noise = 0.3;
+    mc.tolerance = 0.1;
+    const EmaModel model(mc);
+    constexpr unsigned R = 3;
+
+    SpanRecorder::global().clear();
+    AbortLog::global().clear();
+    SessionPipeline::Config pc;
+    pc.altWindowK = 4;
+    pc.numOriginalStates = R;
+    SessionPipeline pipeline(model, pc, 3);
+    pipeline.setTraceContext(/*session=*/12, /*parentSpan=*/0);
+    for (unsigned c = 0; c < 16; ++c)
+        pipeline.processChunk(8);
+
+    const SpanSnapshot snap = SpanRecorder::global().snapshot();
+    EXPECT_EQ(snap.dropped, 0u);
+    const std::vector<AbortReport> reports = AbortLog::global().recent();
+    unsigned firstHits = 0;
+    unsigned misses = 0;
+    for (std::int64_t c = 1; c < 16; ++c) {
+        const Span *val = findSpan(snap, SpanKind::Validation, c);
+        ASSERT_NE(val, nullptr) << "chunk " << c;
+        const Span *abort = findSpan(snap, SpanKind::Abort, c);
+        const Span *commit = nullptr;
+        for (const Span &s : snap.spans)
+            if (s.kind == SpanKind::Commit && s.chunk == c)
+                commit = &s;
+        ASSERT_NE(commit, nullptr) << "chunk " << c;
+        std::vector<const Span *> regens;
+        for (const Span &s : snap.spans)
+            if (s.kind == SpanKind::ReplicaRegen && s.chunk == c)
+                regens.push_back(&s);
+
+        if (commit->detail == -1) {
+            // The committed final state matched: no replica was built.
+            ++firstHits;
+            EXPECT_TRUE(regens.empty()) << "chunk " << c;
+            EXPECT_EQ(val->detail, 1) << "chunk " << c;
+            continue;
+        }
+        ++misses;
+        ASSERT_EQ(regens.size(), R - 1) << "chunk " << c;
+        double regenSeconds = 0.0;
+        std::uint64_t regenFrom = val->endNs;
+        std::uint64_t regenTo = val->startNs;
+        for (const Span *rs : regens) {
+            // Each replica hangs off, and runs inside, the validation
+            // that asked for it.
+            EXPECT_EQ(rs->parent, val->id);
+            EXPECT_GE(rs->startNs, val->startNs);
+            EXPECT_LE(rs->endNs, val->endNs);
+            regenSeconds += spanSeconds(*rs);
+            regenFrom = std::min(regenFrom, rs->startNs);
+            regenTo = std::max(regenTo, rs->endNs);
+        }
+        if (!abort) {
+            EXPECT_GE(commit->detail, 0) << "chunk " << c;
+            EXPECT_NE(findSpan(snap, SpanKind::ChunkBody, c), nullptr);
+            continue;
+        }
+
+        // An abort skips the speculative body entirely.
+        EXPECT_EQ(commit->detail, -2);
+        EXPECT_EQ(findSpan(snap, SpanKind::ChunkBody, c), nullptr)
+            << "chunk " << c;
+        const AbortReport *rep = nullptr;
+        for (const AbortReport &r : reports)
+            if (r.chunk == c)
+                rep = &r;
+        ASSERT_NE(rep, nullptr) << "chunk " << c;
+        EXPECT_EQ(rep->spanId, abort->id);
+        EXPECT_EQ(rep->wastedBodySeconds, 0.0);
+        EXPECT_EQ(rep->comparisons.size(), std::size_t{R});
+        EXPECT_NEAR(rep->wastedReplicaSeconds, regenSeconds, 1e-9);
+        // Validation time is the check's compares only: the wall
+        // interval of the replica fan-out it encloses is taken out, so
+        // the two extra-computation terms never count the same
+        // nanosecond twice.
+        EXPECT_NEAR(rep->validateSeconds,
+                    spanSeconds(*val) -
+                        static_cast<double>(regenTo - regenFrom) * 1e-9,
+                    1e-9);
+        EXPECT_LE(rep->validateSeconds + rep->wastedReplicaSeconds,
+                  spanSeconds(*val) + 1e-9);
+    }
+    EXPECT_GT(firstHits, 0u) << "config must commit on the first compare";
+    EXPECT_GT(misses, 0u) << "config must miss the first compare";
+    EXPECT_FALSE(reports.empty()) << "config must abort";
 }
 
 TEST(FlightRecorderTest, AbortBurstTriggerWritesValidDump)

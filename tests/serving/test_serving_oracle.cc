@@ -24,6 +24,7 @@
 #include "core/ema_model.h"
 #include "core/native_runtime.h"
 #include "core/versioned_state.h"
+#include "metrics/metrics.h"
 #include "serving/serving_runtime.h"
 #include "serving/session_pipeline.h"
 #include "util/thread_pool.h"
@@ -126,6 +127,35 @@ TEST(ServingOracle, PipelineMatchesBatchWhenAbortsOccur)
         ASSERT_GT(oracle.aborts, 0u)
             << "config must actually exercise the abort path";
         expectPipelineMatchesBatch(model, cfg(4, 2, 2), 5, protocol);
+    }
+}
+
+TEST(ServingOracle, PipelineMatchesBatchWhenReplicasRescueCommits)
+{
+    // R = 3 with enough noise that the boundaries split three ways:
+    // the committed final state matches, only a replica matches, or
+    // nothing does.  The session regenerates replicas only on a
+    // first-candidate miss (fanned out on the pool, R-1 = 2), so this
+    // is the case that exercises that path against the batch oracle.
+    EmaModel::Config mc;
+    mc.inputs = 128;
+    mc.alpha = 0.5;
+    mc.noise = 0.3;
+    mc.tolerance = 0.1;
+    const EmaModel model(mc);
+    auto &reg = repro::metrics::MetricsRegistry::global();
+    auto &first = reg.counter("serving.commit_match_first");
+    auto &replica = reg.counter("serving.commit_match_replica");
+    auto &none = reg.counter("serving.commit_match_none");
+    for (const auto protocol :
+         {CommitProtocol::Barrier, CommitProtocol::Pipelined}) {
+        const auto f0 = first.value();
+        const auto r0 = replica.value();
+        const auto n0 = none.value();
+        expectPipelineMatchesBatch(model, cfg(16, 4, 3), 3, protocol);
+        EXPECT_GT(first.value(), f0) << commitProtocolName(protocol);
+        EXPECT_GT(replica.value(), r0) << commitProtocolName(protocol);
+        EXPECT_GT(none.value(), n0) << commitProtocolName(protocol);
     }
 }
 

@@ -155,17 +155,22 @@ TEST(MeasuredTrace, IdsAreMonotonicUnderConcurrentBegins)
 
 TEST(MeasuredTrace, PoolProfilerAccountsWorkerTasks)
 {
-    repro::util::ThreadPool pool(2);
     MeasuredTraceRecorder rec;
-    const auto prev = pool.setProfiler(rec.poolProfiler());
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 8; ++i) {
-        futures.push_back(
-            pool.submit([] { spin(std::chrono::microseconds(50)); }));
+    {
+        repro::util::ThreadPool pool(2);
+        const auto prev = pool.setProfiler(rec.poolProfiler());
+        std::vector<std::future<void>> futures;
+        for (int i = 0; i < 8; ++i) {
+            futures.push_back(
+                pool.submit([] { spin(std::chrono::microseconds(50)); }));
+        }
+        for (auto &f : futures)
+            f.get();
+        pool.setProfiler(prev);
+        // A task's future is ready before its worker reports
+        // onTaskEnd; joining the workers (pool destruction) orders
+        // every report before the recorder is read.
     }
-    for (auto &f : futures)
-        f.get();
-    pool.setProfiler(prev);
 
     const MeasuredTrace mt = rec.finish();
     EXPECT_EQ(mt.poolTasks, 8u);

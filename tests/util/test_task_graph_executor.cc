@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <new>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -151,6 +153,30 @@ TEST(TaskGraphExecutor, DestructorWaitsForOutstandingNodes)
         // (the closure captures this frame's locals).
     }
     EXPECT_TRUE(ran.load());
+}
+
+TEST(TaskGraphExecutor, MayBeDestroyedAsSoonAsWaitReturns)
+{
+    // The owner destroys the executor the moment wait() returns, as
+    // NativeRuntime::run does with its stack-scoped one.  A finishing
+    // node must be done touching the executor by then, even when the
+    // successor it handed to the pool finishes first.  The storage is
+    // scribbled after destruction so a late touch fails loudly instead
+    // of landing on the next round's executor at the same address.
+    ThreadPool pool(4);
+    alignas(TaskGraphExecutor) unsigned char
+        storage[sizeof(TaskGraphExecutor)];
+    for (int round = 0; round < 20000; ++round) {
+        std::atomic<int> ran{0};
+        auto *exec = new (storage) TaskGraphExecutor(pool);
+        const auto a = exec->add([&] { ++ran; });
+        exec->add([&] { ++ran; }, {a});
+        exec->add([&] { ++ran; }, {a});
+        exec->wait();
+        exec->~TaskGraphExecutor();
+        std::memset(storage, 0xa5, sizeof(storage));
+        ASSERT_EQ(ran.load(), 3) << "round " << round;
+    }
 }
 
 TEST(TaskGraphExecutor, NodeBodiesMayUseNestedParallelFor)
