@@ -51,10 +51,12 @@ adaptMetrics()
  *  chunk's own entry replay plus K per extra replica), and the clones
  *  plus commit-check comparisons cost a small fixed amount.  The same
  *  categories the DES engine prices per chunk, collapsed to the
- *  model.update unit the controller calibrates.  The serving path
- *  regenerates replicas only when the committed final state misses,
- *  so it pays the replica term only then; the formula is kept as an
- *  upper bound so adaptive decisions do not move. */
+ *  model.update unit the controller calibrates.  Both the serving
+ *  path and the batch runtime regenerate replicas only when the
+ *  committed final state misses, so they pay the replica term only
+ *  then (the pipelined batch schedule still grows eager replicas off
+ *  the commit chain); the formula is kept as an upper bound so
+ *  adaptive decisions do not move. */
 double
 overheadInputs(const SessionTuning &t)
 {

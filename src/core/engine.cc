@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/rng_streams.h"
 #include "util/log.h"
 
 namespace repro::core {
@@ -416,7 +417,7 @@ Engine::runStats(const IStateModel &model, const RegionProfile &region,
             // Alternative producer: replay K inputs before the chunk
             // from the cold state (paper §II-B, light boxes of Fig. 2b).
             StateHandle cold = model.coldState();
-            util::Rng alt_rng = base.split(2000 + c);
+            util::Rng alt_rng = base.split(streams::alt(c));
             const double alt_work = emit.runSpan(
                 *cold, begin[c] - K, begin[c], TaskKind::AltProducer,
                 alt_rng, nullptr);
@@ -443,7 +444,7 @@ Engine::runStats(const IStateModel &model, const RegionProfile &region,
         const bool needs_snapshot = c + 1 < C;
         const std::size_t snap_point =
             needs_snapshot ? std::max(begin[c], end[c] - K) : end[c];
-        util::Rng body_rng = base.split(1000 + c);
+        util::Rng body_rng = base.split(streams::body(c));
 
         const double work_a =
             emit.runSpan(*working, begin[c], snap_point,
@@ -523,7 +524,7 @@ Engine::runStats(const IStateModel &model, const RegionProfile &region,
                 emit.emitCopy(rth, static_cast<std::int32_t>(c),
                               cur.snapshotTask, replica.get());
             r.graph.addDep(wake_rep, start_copy);
-            util::Rng rep_rng = base.split(3000 + c * 128 + rep);
+            util::Rng rep_rng = base.split(streams::replica(c, rep));
             const double rep_work = emit.runSpan(
                 *replica, snap_point, end[c], TaskKind::OriginalStateGen,
                 rep_rng, nullptr);
@@ -636,7 +637,7 @@ Engine::runStats(const IStateModel &model, const RegionProfile &region,
                 needs_snapshot
                     ? std::max(begin[c + 1], end[c + 1] - K)
                     : end[c + 1];
-            util::Rng redo_rng = base.split(5000 + c + 1);
+            util::Rng redo_rng = base.split(streams::reexec(c + 1));
 
             const double redo_a = emit.runSpan(
                 *redo, begin[c + 1], redo_snap, TaskKind::MispecReExec,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "core/rng_streams.h"
 #include "core/versioned_state.h"
 #include "metrics/metrics.h"
 #include "obs/abort_report.h"
@@ -165,9 +166,9 @@ struct ChunkProducts
 /** Original-state replicas of one chunk boundary. */
 struct BoundaryProducts
 {
-    std::vector<StateHandle> replicas;  //!< R-1 regenerated states.
-    std::vector<TaskId> replicaTasks;   //!< Their OriginalStateGen ids.
-    std::vector<double> replicaSeconds; //!< Regeneration wall time.
+    std::vector<StateHandle> replicas; //!< R-1 regenerated states.
+    std::vector<TaskId> replicaTasks;  //!< Their OriginalStateGen ids.
+    std::vector<obs::Span> replicaSpans; //!< Their ReplicaRegen spans.
 };
 
 /**
@@ -308,15 +309,16 @@ class RunImpl
         for (BoundaryProducts &bp : boundaries_) {
             bp.replicas.resize(R_ >= 1 ? R_ - 1 : 0);
             bp.replicaTasks.assign(bp.replicas.size(), kNoTask);
-            bp.replicaSeconds.assign(bp.replicas.size(), 0.0);
+            bp.replicaSpans.resize(bp.replicas.size());
         }
         obs_.end(setupTask_);
     }
 
     /**
      * Two-phase schedule: all chunk bodies behind one parallelFor
-     * barrier, then each boundary regenerates its replicas and
-     * resolves on the calling thread.
+     * barrier, then each boundary resolves on the calling thread,
+     * regenerating its replicas only when the committed final state
+     * misses.
      */
     NativeRuntime::Result
     runBarrier()
@@ -348,7 +350,6 @@ class RunImpl
             for (const ChunkProducts &cp : chunks_)
                 obs_.dep(cp.bodyLast, sync);
             joinSources_.assign(1, sync);
-            lastMainTask_ = sync;
         }
         for (unsigned c = 0; c + 1 < C_; ++c)
             resolveBoundary(c);
@@ -457,10 +458,10 @@ class RunImpl
         if (c == 0) {
             working = model_.initialState();
         } else {
-            // Alternative producer (same streams as the engine:
-            // split(2000 + c)).
+            // Alternative producer (same stream as the engine:
+            // streams::alt(c)).
             working = model_.coldState();
-            util::Rng alt_rng = base_.split(2000 + c);
+            util::Rng alt_rng = base_.split(streams::alt(c));
             cp.altTask = obs_.begin(TaskKind::AltProducer, th,
                                     static_cast<std::int32_t>(c));
             obs_.dep(setupTask_, cp.altTask);
@@ -486,7 +487,7 @@ class RunImpl
         const bool needs_snapshot = c + 1 < C_;
         cp.snap = needs_snapshot ? std::max(begin_[c], end_[c] - K_)
                                  : end_[c];
-        cp.bodyRng = base_.split(1000 + c);
+        cp.bodyRng = base_.split(streams::body(c));
         cp.outputs.resize(end_[c] - begin_[c]);
         cp.bodyA = obs_.begin(TaskKind::ChunkBody, th,
                               static_cast<std::int32_t>(c));
@@ -549,37 +550,37 @@ class RunImpl
     {
         const ChunkProducts &cp = chunks_[c];
         regenerateReplica(c, rep, *cp.snapshot, cp.snapshotTask,
-                          cp.snap);
+                          cp.snap, 0);
     }
 
     /** Clones @p source and replays the boundary inputs of chunk
-     *  @p c on it (streams: split(3000 + c*128 + rep), exactly the
-     *  engine's), storing the replica for the commit check.
-     *  @p serialize_after: extra recorded predecessors mirroring
-     *  schedule constraints beyond the data dependency. */
+     *  @p c on it (streams::replica(c, rep), exactly the engine's
+     *  stream), storing the replica for the commit check.
+     *  @p parent_span: the span that asked for the replica (0: none).
+     *  @p after: extra recorded predecessor mirroring a schedule
+     *  constraint beyond the data dependency (kNoTask: none). */
     void
     regenerateReplica(unsigned c, unsigned rep, const State &source,
                       TaskId source_task, std::size_t snap,
-                      const std::vector<TaskId> &serialize_after = {})
+                      std::uint64_t parent_span, TaskId after = kNoTask)
     {
         const ThreadId rth = replicaThread(c, rep);
         const TaskId rep_copy = obs_.begin(
             TaskKind::StateCopy, rth, static_cast<std::int32_t>(c));
         obs_.dep(source_task, rep_copy);
-        for (const TaskId before : serialize_after)
-            obs_.dep(before, rep_copy);
+        obs_.dep(after, rep_copy);
         StateHandle replica = cloneCounted(source);
         obs_.end(rep_copy);
         const TaskId rep_task =
             obs_.begin(TaskKind::OriginalStateGen, rth,
                        static_cast<std::int32_t>(c));
         obs::Span repSpan = spans_.start(
-            obs::SpanKind::ReplicaRegen, 0, 0,
+            obs::SpanKind::ReplicaRegen, parent_span, 0,
             static_cast<std::int64_t>(c),
             static_cast<std::int64_t>(snap),
             static_cast<std::uint32_t>(end_[c] - snap),
             static_cast<std::int64_t>(rep));
-        util::Rng rng = base_.split(3000 + c * 128 + rep);
+        util::Rng rng = base_.split(streams::replica(c, rep));
         met_.replicaRegens.inc();
         {
             const metrics::ScopedTimer timer(ph_->replicaGen);
@@ -590,27 +591,23 @@ class RunImpl
         obs_.end(rep_task);
         BoundaryProducts &bp = boundaries_[c];
         bp.replicaTasks[rep] = rep_task;
-        bp.replicaSeconds[rep] = spanSeconds(repSpan);
+        bp.replicaSpans[rep] = repSpan;
         bp.replicas[rep] = std::move(replica);
     }
 
     /** Regenerates every boundary-@p c replica from the *committed*
-     *  snapshot, in parallel (barrier schedule, and the pipelined
-     *  abort path where the eager replicas were invalidated). */
+     *  snapshot, in parallel, after the first compare of the commit
+     *  check missed (barrier schedule, and the pipelined abort path
+     *  where the eager replicas were invalidated).  The replicas
+     *  launch only after @p first_compare — recorded as an edge so the
+     *  measured graph stays faithful to the schedule.  @p parent_span
+     *  is the validation span that encloses the fan-out. */
     void
-    regenerateReplicasFromCommitted(unsigned c)
+    regenerateReplicasFromCommitted(unsigned c, TaskId first_compare,
+                                    std::uint64_t parent_span)
     {
         if (R_ <= 1)
             return;
-        // Under the barrier schedule these replicas launch only after
-        // the phase-1 join (boundary 0) or after the previous
-        // boundary resolved — record that serialization so the
-        // measured graph stays faithful to the schedule.  Under the
-        // pipelined schedule the committed-snapshot dependency already
-        // is the true constraint.
-        std::vector<TaskId> serialize_after;
-        if (!pipelined_ && lastMainTask_ != kNoTask)
-            serialize_after.push_back(lastMainTask_);
         const std::size_t snap = std::max(begin_[c], end_[c] - K_);
         pool_.parallelFor(
             R_ - 1,
@@ -618,18 +615,20 @@ class RunImpl
                 regenerateReplica(c, static_cast<unsigned>(rep),
                                   *committedSnapshot_,
                                   committedSnapshotTask_, snap,
-                                  serialize_after);
+                                  parent_span, first_compare);
             },
             maxThreads_);
     }
 
     /**
-     * Resolves commit boundary @p c in program order: ensures valid
-     * replicas, compares chunk c+1's speculative state against each
-     * original state until a match (paper Fig. 6), and commits or
-     * re-executes.  Under the barrier schedule this runs on the
-     * caller; under the pipelined one, on a pool worker whose node
-     * fired when chunks c, c+1, and the boundary replicas finished.
+     * Resolves commit boundary @p c in program order: compares chunk
+     * c+1's speculative state against the committed final state,
+     * regenerates the replicas only when that misses and no valid ones
+     * exist, compares them in order until a match (paper Fig. 6), and
+     * commits or re-executes.  Under the barrier schedule this runs on
+     * the caller; under the pipelined one, on a pool worker whose node
+     * fired when chunks c, c+1, and the eager boundary replicas
+     * finished.
      */
     void
     resolveBoundary(unsigned c)
@@ -654,27 +653,30 @@ class RunImpl
         }
 
         BoundaryProducts &bp = boundaries_[c];
-        if (!(pipelined_ && committedSpeculative_)) {
-            // Barrier schedule: replicas are always generated here,
-            // from the committed snapshot.  Pipelined schedule: only
-            // when chunk c was re-executed after an abort — its eager
-            // replicas grew from a snapshot that never became real
-            // state, so they are wasted speculation (retagged like the
-            // engine retags aborted bodies) and regenerated from the
-            // re-executed snapshot with the same RNG streams.
+        // Valid replicas exist only under the pipelined schedule when
+        // chunk c committed its speculation (its eager replicas grew
+        // from the snapshot that became real state); otherwise they
+        // are built below from the committed snapshot, and only when
+        // the committed final state misses.  Eager replicas of a
+        // re-executed chunk c grew from a snapshot that never became
+        // real state: wasted speculation, retagged like the engine
+        // retags aborted bodies.
+        const bool replicas_valid = pipelined_ && committedSpeculative_;
+        if (!replicas_valid)
             for (const TaskId stale : bp.replicaTasks)
                 obs_.retag(stale, TaskKind::MispecReExec);
-            regenerateReplicasFromCommitted(c);
-        }
 
         // Commit check of chunk c+1: compare its speculative state
         // against each original state until a match (paper Fig. 6).
         ChunkProducts &nxt = chunks_[c + 1];
-        const auto compare = [&](const State &original, bool first) {
+        TaskId first_compare = kNoTask;
+        const auto compare = [&](const State &original, int rep) {
             const TaskId cmp =
                 obs_.begin(TaskKind::StateCompare, kMainThread,
                            static_cast<std::int32_t>(c));
-            if (first) {
+            if (rep >= 0) {
+                obs_.dep(bp.replicaTasks[rep], cmp);
+            } else {
                 obs_.dep(committedFinalTask_, cmp);
                 obs_.dep(nxt.specCopyTask, cmp);
                 for (const TaskId rt : bp.replicaTasks)
@@ -684,6 +686,7 @@ class RunImpl
                 // holds its Sync task (empty under the pipeline).
                 for (const TaskId js : joinSources_)
                     obs_.dep(js, cmp);
+                first_compare = cmp;
             }
             met_.compares.inc();
             bool matched;
@@ -693,7 +696,6 @@ class RunImpl
             }
             (matched ? met_.matches : met_.mismatches).inc();
             obs_.end(cmp);
-            lastMainTask_ = cmp;
             return matched;
         };
         obs::Span valSpan = spans_.start(
@@ -701,12 +703,14 @@ class RunImpl
             static_cast<std::int64_t>(c + 1),
             static_cast<std::int64_t>(begin_[c + 1]),
             static_cast<std::uint32_t>(end_[c + 1] - begin_[c + 1]));
-        bool matched = compare(*committedFinal_, true);
+        bool matched = compare(*committedFinal_, -1);
         const bool matched_first = matched;
+        if (!matched && !replicas_valid)
+            regenerateReplicasFromCommitted(c, first_compare, valSpan.id);
         std::int64_t matchedCandidate = matched ? -1 : -2;
         std::int64_t candidatesCompared = 1;
         for (unsigned rep = 0; !matched && rep + 1 < R_; ++rep) {
-            matched = compare(*bp.replicas[rep], false);
+            matched = compare(*bp.replicas[rep], static_cast<int>(rep));
             ++candidatesCompared;
             if (matched)
                 matchedCandidate = static_cast<std::int64_t>(rep);
@@ -744,6 +748,9 @@ class RunImpl
                 // what the abort cost in §V-B terms (the speculated
                 // body + alt-producer work is mispeculation; replicas
                 // and compares were extra computation either way).
+                // The wall interval of a replica fan-out the
+                // validation span encloses is taken out of it, so the
+                // validate and replica terms stay disjoint.
                 obs::AbortReport report;
                 report.session = 0;
                 report.chunk = c + 1;
@@ -753,9 +760,17 @@ class RunImpl
                 report.wastedBodySeconds = spanSeconds(nxt.bodySpanA) +
                                            spanSeconds(nxt.bodySpanB);
                 report.wastedAltSeconds = spanSeconds(nxt.altSpan);
-                for (const double rs : bp.replicaSeconds)
-                    report.wastedReplicaSeconds += rs;
-                report.validateSeconds = spanSeconds(valSpan);
+                obs::Span regen; // Wall interval of the fan-out.
+                regen.startNs = valSpan.endNs;
+                for (const obs::Span &rs : bp.replicaSpans) {
+                    report.wastedReplicaSeconds += spanSeconds(rs);
+                    if (rs.parent != valSpan.id)
+                        continue; // Eager: ran before the validation.
+                    regen.startNs = std::min(regen.startNs, rs.startNs);
+                    regen.endNs = std::max(regen.endNs, rs.endNs);
+                }
+                report.validateSeconds = std::max(
+                    0.0, spanSeconds(valSpan) - spanSeconds(regen));
                 obs::AbortComparison first;
                 first.candidate = -1;
                 first.matched = matched_first;
@@ -809,15 +824,15 @@ class RunImpl
         // The boundary is resolved; its replicas are dead weight now
         // (eager replicas of *future* boundaries stay alive — that
         // memory is the price of the overlap).  The join edges were
-        // consumed by boundary 0; later boundaries serialize on
-        // lastMainTask_ instead.
+        // consumed by boundary 0; later boundaries follow it in the
+        // commit protocol's program order.
         bp.replicas.clear();
         bp.replicaTasks.clear();
         joinSources_.clear();
     }
 
     /** Abort at boundary @p c: re-execute chunk c+1 from the
-     *  committed final state (streams: split(5000 + c + 1)).  The
+     *  committed final state (stream streams::reexec(c + 1)).  The
      *  wasted speculative body work is re-attributed to
      *  mispeculation, exactly as the engine retags it. */
     void
@@ -833,7 +848,7 @@ class RunImpl
         obs_.dep(committedFinalTask_, redo_copy);
         StateHandle redo = cloneCounted(*committedFinal_);
         obs_.end(redo_copy);
-        util::Rng redo_rng = base_.split(5000 + c + 1);
+        util::Rng redo_rng = base_.split(streams::reexec(c + 1));
         const bool needs_snapshot = c + 2 < C_;
         const std::size_t redo_snap =
             needs_snapshot ? std::max(begin_[c + 1], end_[c + 1] - K_)
@@ -876,7 +891,6 @@ class RunImpl
         committedOwned_ = std::move(redo);
         committedFinal_ = committedOwned_.get();
         committedSpeculative_ = false;
-        lastMainTask_ = committedFinalTask_;
     }
 
     const IStateModel &model_;
@@ -888,7 +902,7 @@ class RunImpl
     util::ThreadPool &pool_;
     const ScopedPoolProfile poolProfile_;
     RuntimeCounters &met_;
-    /** Batch spans record as roots of session 0 (obs/span_recorder.h);
+    /** Batch spans record under session 0 (obs/span_recorder.h);
      *  purely observational — never changes outputs. */
     obs::SpanRecorder &spans_ = obs::SpanRecorder::global();
     const PhaseHists *ph_; //!< Switched to the pipelined set by
@@ -916,12 +930,9 @@ class RunImpl
 
     // Barrier-schedule serialization, recorded so the measured graph
     // mirrors that schedule: the phase-1 join (all chunk bodies →
-    // first commit task) and the previous boundary's last
-    // commit-protocol task (→ this boundary's replica launches).
-    // Both stay empty/kNoTask under the pipelined schedule, whose
+    // first commit task).  Empty under the pipelined schedule, whose
     // explicit data dependencies are its true constraints.
     std::vector<TaskId> joinSources_;
-    TaskId lastMainTask_ = kNoTask;
 };
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/rng_streams.h"
 #include "core/versioned_state.h"
 #include "metrics/metrics.h"
 #include "obs/abort_report.h"
@@ -151,7 +152,7 @@ SessionPipeline::processChunk(std::size_t count)
     // The first chunk runs from the program's initial state — it is
     // never speculative and commits as it is.  Every later chunk
     // speculates its entry state: the alternative producer replays the
-    // last K inputs (streams: split(2000 + c)).
+    // last K inputs (stream core::streams::alt(c)).
     StateHandle working;
     std::int64_t matchedCandidate = -1; // -2: nothing matched (abort).
     obs::Span altSpan;
@@ -164,7 +165,7 @@ SessionPipeline::processChunk(std::size_t count)
         altSpan = rec.start(obs::SpanKind::AltProducer, par, sess, c,
                             istart, icount, static_cast<std::int64_t>(K));
         working = model_.coldState();
-        util::Rng alt_rng = base_.split(2000 + c);
+        util::Rng alt_rng = base_.split(core::streams::alt(c));
         runSpan(model_, *working, start >= K ? start - K : 0, start,
                 alt_rng, nullptr, TaskKind::AltProducer);
         rec.finish(altSpan);
@@ -174,7 +175,7 @@ SessionPipeline::processChunk(std::size_t count)
         // boundary c-1 is already committed.  The entry state is
         // compared against the committed final state; only on a miss
         // are the R-1 original-state replicas regenerated from the
-        // committed snapshot (streams: split(3000 + (c-1)*128 + rep),
+        // committed snapshot (streams core::streams::replica(c-1, rep),
         // replaying the boundary inputs [snap_{c-1}, end_{c-1})) and
         // compared in order.  Replicas are independent — they fan out
         // on the pool when one is available.
@@ -193,7 +194,8 @@ SessionPipeline::processChunk(std::size_t count)
                     obs::SpanKind::ReplicaRegen, val, sess, c, istart,
                     icount, static_cast<std::int64_t>(rep));
                 StateHandle replica = committedSnapshot_->clone();
-                util::Rng rng = base_.split(3000 + (c - 1) * 128 + rep);
+                util::Rng rng =
+                    base_.split(core::streams::replica(c - 1, rep));
                 runSpan(model_, *replica, committedSnapStart_,
                         committedEnd_, rng, nullptr,
                         TaskKind::OriginalStateGen);
@@ -227,14 +229,16 @@ SessionPipeline::processChunk(std::size_t count)
 
     if (matchedCandidate != -2) {
         // Commit: the body runs from the entry state just checked
-        // (streams: split(1000 + c)), so no speculative clone is kept.
+        // (stream core::streams::body(c)), so no speculative clone is
+        // kept.
         if (c > 0)
             ++commits_;
         obs::Span body = rec.start(obs::SpanKind::ChunkBody, par, sess, c,
                                    istart, icount);
         StateHandle snapshot =
             runChunk(model_, *working, start, snap, end,
-                     base_.split(1000 + c), result.outputs.data(),
+                     base_.split(core::streams::body(c)),
+                     result.outputs.data(),
                      TaskKind::ChunkBody);
         rec.finish(body);
         obs::Span commit = rec.start(obs::SpanKind::Commit, par, sess, c,
@@ -243,9 +247,9 @@ SessionPipeline::processChunk(std::size_t count)
         rec.finish(commit);
     } else {
         // Abort: the speculative body never runs.  Re-execute the
-        // chunk from the committed final state (streams:
-        // split(5000 + c)); it is replaced by the re-executed state,
-        // so it is moved rather than cloned.
+        // chunk from the committed final state (stream
+        // core::streams::reexec(c)); it is replaced by the re-executed
+        // state, so it is moved rather than cloned.
         ++aborts_;
         result.aborted = true;
         obs::Span abortSpan = rec.start(obs::SpanKind::Abort, par, sess,
@@ -302,7 +306,8 @@ SessionPipeline::processChunk(std::size_t count)
         StateHandle redo = std::move(committedFinal_);
         StateHandle redo_snapshot =
             runChunk(model_, *redo, start, snap, end,
-                     base_.split(5000 + c), result.outputs.data(),
+                     base_.split(core::streams::reexec(c)),
+                     result.outputs.data(),
                      TaskKind::MispecReExec);
         rec.finish(reSpan);
         obs::Span commit = rec.start(obs::SpanKind::Commit, reParent,

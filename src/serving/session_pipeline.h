@@ -19,20 +19,20 @@
  * re-executes from the committed state.
  *
  * Determinism contract: every RNG stream is derived exactly as the
- * batch runtime derives it (body split(1000+c), alt producer
- * split(2000+c), replica split(3000+c*128+rep), re-execution
- * split(5000+c)), and the commit check compares against the committed
- * final state first and then, only if that missed, each replica in
- * order.  Therefore, for a
- * fixed (model, seed) and a fixed *closure trace* (the sequence of
- * chunk sizes), the outputs, commit decisions, and abort count are a
- * pure function of that trace — independent of wall-clock timing, of
- * which closure mechanism (size, deadline, drain, manual) produced
- * each boundary, and of how many sessions share the pool.  When the
- * trace matches the batch runtime's boundaries (inputs split n*c/C)
- * the outputs are bit-identical to NativeRuntime::run for the same
- * (model, config, seed), across both commit protocols and both
- * StateVersioning modes — the oracle tests in tests/serving pin this.
+ * batch runtime derives it (the ids of core/rng_streams.h: body
+ * body(c), alt producer alt(c), replica replica(c-1, rep),
+ * re-execution reexec(c)), and the commit check compares against the
+ * committed final state first and then, only if that missed, each
+ * replica in order.  Therefore, for a fixed (model, seed) and a fixed
+ * *closure trace* (the sequence of chunk sizes), the outputs, commit
+ * decisions, and abort count are a pure function of that trace —
+ * independent of wall-clock timing, of which closure mechanism (size,
+ * deadline, drain, manual) produced each boundary, and of how many
+ * sessions share the pool.  When the trace matches the batch
+ * runtime's boundaries (inputs split n*c/C) the outputs are
+ * bit-identical to NativeRuntime::run for the same (model, config,
+ * seed), across both commit protocols and both StateVersioning modes
+ * — the oracle tests in tests/serving pin this.
  *
  * Structural differences from batch, none of which can change outputs
  * (every stream is keyed by chunk index, never by when it runs):

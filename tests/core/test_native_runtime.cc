@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/ema_model.h"
 #include "core/native_runtime.h"
+#include "metrics/metrics.h"
+#include "obs/span_recorder.h"
 #include "trace/measured_trace.h"
 #include "workloads/workload.h"
 
@@ -235,11 +240,12 @@ TEST(NativeRuntime, RecordedKindsMatchProtocolWhenAllCommit)
     // All-commit run, C=8, K=8, R=3: the measured graph must contain
     // exactly the protocol's task population with true kinds — the
     // runSpan mislabeling bug tagged alt-producer and replica spans
-    // ChunkBody, which this distribution catches.  On an all-commit
-    // run both protocols record the *same* population (every eager
-    // replica of the pipeline is the replica the barrier would have
-    // regenerated), so check both — except the phase-1 join, which
-    // only the barrier has and records as one Sync task.
+    // ChunkBody, which this distribution catches.  The populations
+    // differ per protocol: the pipeline grows every boundary's
+    // replicas eagerly, while the barrier regenerates them only when
+    // the committed final state misses — never on an all-commit run.
+    // Only the barrier has the phase-1 join, recorded as one Sync
+    // task.
     EmaModel::Config mc;
     mc.inputs = 128;
     mc.alpha = 0.5;
@@ -267,19 +273,20 @@ TEST(NativeRuntime, RecordedKindsMatchProtocolWhenAllCommit)
         // last chunk runs in one piece.
         EXPECT_EQ(count(TaskKind::ChunkBody), 2u * (C - 1) + 1u);
         EXPECT_EQ(count(TaskKind::AltProducer), C - 1);
-        // Replicas: (R-1) per boundary.
-        EXPECT_EQ(count(TaskKind::OriginalStateGen), (C - 1) * (R - 1));
+        // Replicas: (R-1) per boundary under the pipeline, none under
+        // the barrier (every first compare hits).
+        const bool barrier = protocol == CommitProtocol::Barrier;
+        const unsigned replicas = barrier ? 0u : (C - 1) * (R - 1);
+        EXPECT_EQ(count(TaskKind::OriginalStateGen), replicas);
         // All-commit: every boundary matches on the first comparison.
         EXPECT_EQ(count(TaskKind::StateCompare), C - 1);
         EXPECT_EQ(count(TaskKind::MispecReExec), 0u);
         // The barrier's join is recorded (measured caller wait); the
         // pipeline has no join.
-        EXPECT_EQ(count(TaskKind::Sync),
-                  protocol == CommitProtocol::Barrier ? 1u : 0u);
+        EXPECT_EQ(count(TaskKind::Sync), barrier ? 1u : 0u);
         // Copies: spec-state clone per alt chunk, snapshot clone per
         // non-final chunk, replica clone per regenerated original.
-        EXPECT_EQ(count(TaskKind::StateCopy),
-                  (C - 1) + (C - 1) + (C - 1) * (R - 1));
+        EXPECT_EQ(count(TaskKind::StateCopy), (C - 1) + (C - 1) + replicas);
         // Every measured task carries a real (non-negative) duration.
         for (const auto &t : mt.graph.tasks())
             EXPECT_GE(t.work, 0.0);
@@ -367,6 +374,114 @@ TEST(NativeRuntime, RecordedKindsPipelinedAbortRetagsEagerReplicas)
     EXPECT_EQ(count(TaskKind::StateCompare),
               recorded.commits + 2u * recorded.aborts);
     EXPECT_EQ(count(TaskKind::Sync), 0u);
+}
+
+TEST(NativeRuntime, ReplicasRegenerateOnlyOnFirstMiss)
+{
+    // R = 3 on the config whose boundaries split three ways: the
+    // committed final state matches, only a replica matches, or
+    // nothing does (the serving oracle pins the same config).  Each
+    // boundary compares against the committed final state first and
+    // regenerates replicas from the committed snapshot only on a miss
+    // with no valid eager replicas; the results stay bit-identical to
+    // the engine, which prices every replica.  The replica counter
+    // pins the schedule: under the barrier, R-1 regenerations per
+    // first miss and none per first hit; under the pipeline, R-1
+    // eager replicas per boundary plus R-1 per first miss after a
+    // re-executed chunk.
+    EmaModel::Config mc;
+    mc.inputs = 128;
+    mc.alpha = 0.5;
+    mc.noise = 0.3;
+    mc.tolerance = 0.1;
+    const EmaModel model(mc);
+    const unsigned C = 16, R = 3;
+    const auto config = cfg(C, 4, R);
+    const std::uint64_t seed = 3;
+    const auto logical =
+        Engine().runStats(model, {}, TlpModel{}, config, seed);
+    auto &regens = repro::metrics::MetricsRegistry::global().counter(
+        "runtime.replica_regens");
+    auto &spans = repro::obs::SpanRecorder::global();
+    ASSERT_TRUE(repro::obs::enabled());
+    for (const auto protocol :
+         {CommitProtocol::Barrier, CommitProtocol::Pipelined}) {
+        for (const bool recorded : {false, true}) {
+            SCOPED_TRACE(std::string(commitProtocolName(protocol)) +
+                         (recorded ? " recorded" : " plain"));
+            spans.clear();
+            MeasuredTraceRecorder rec;
+            const auto before = regens.value();
+            const auto real = NativeRuntime(4, protocol).run(
+                model, config, seed, recorded ? &rec : nullptr);
+            const auto regenerated = regens.value() - before;
+            EXPECT_EQ(real.commits, logical.commits);
+            EXPECT_EQ(real.aborts, logical.aborts);
+            ASSERT_EQ(real.outputs.size(), logical.outputs.size());
+            for (std::size_t i = 0; i < real.outputs.size(); ++i)
+                ASSERT_DOUBLE_EQ(real.outputs[i], logical.outputs[i])
+                    << "input " << i;
+
+            // How each chunk committed, from its Commit span: -1 the
+            // committed final state matched, >= 0 that replica
+            // matched, -2 re-executed after an abort.
+            std::vector<std::int64_t> outcome(C, -3);
+            for (const repro::obs::Span &s : spans.snapshot().spans)
+                if (s.kind == repro::obs::SpanKind::Commit &&
+                    s.chunk >= 1 && s.chunk < static_cast<int>(C))
+                    outcome[s.chunk] = s.detail;
+            unsigned hits = 0, rescues = 0, aborts = 0, misses = 0;
+            unsigned missesAfterReexec = 0;
+            for (unsigned c = 1; c < C; ++c) {
+                ASSERT_NE(outcome[c], -3) << "chunk " << c;
+                hits += outcome[c] == -1;
+                rescues += outcome[c] >= 0;
+                aborts += outcome[c] == -2;
+                misses += outcome[c] != -1;
+                missesAfterReexec += outcome[c] != -1 && c >= 2 &&
+                                     outcome[c - 1] == -2;
+            }
+            EXPECT_GT(hits, 0u) << "config must commit on a first hit";
+            EXPECT_GT(rescues, 0u) << "config must commit on a replica";
+            EXPECT_GT(aborts, 0u) << "config must abort";
+            EXPECT_EQ(aborts, real.aborts);
+            EXPECT_EQ(regenerated,
+                      (R - 1) * (protocol == CommitProtocol::Barrier
+                                     ? misses
+                                     : (C - 1) + missesAfterReexec));
+            if (!recorded)
+                continue;
+
+            // Every replica compare waits on its own OriginalStateGen
+            // task: exactly one of the boundary's replicas feeds it,
+            // and no two compares share one.
+            const MeasuredTrace mt = rec.finish();
+            const auto &tasks = mt.graph.tasks();
+            std::vector<std::vector<repro::trace::TaskId>> compares(C - 1);
+            for (const auto &t : tasks)
+                if (t.kind == TaskKind::StateCompare)
+                    compares.at(t.chunk).push_back(t.id);
+            for (unsigned c = 0; c + 1 < C; ++c) {
+                ASSERT_EQ(compares[c].size() > 1, outcome[c + 1] != -1)
+                    << "boundary " << c;
+                std::vector<repro::trace::TaskId> sources;
+                for (std::size_t k = 1; k < compares[c].size(); ++k) {
+                    std::vector<repro::trace::TaskId> gens;
+                    for (const auto d : tasks[compares[c][k]].deps)
+                        if (tasks[d].kind == TaskKind::OriginalStateGen &&
+                            tasks[d].chunk == static_cast<int>(c))
+                            gens.push_back(d);
+                    ASSERT_EQ(gens.size(), 1u)
+                        << "boundary " << c << " compare " << k;
+                    EXPECT_EQ(std::count(sources.begin(), sources.end(),
+                                         gens[0]),
+                              0)
+                        << "boundary " << c << " compare " << k;
+                    sources.push_back(gens[0]);
+                }
+            }
+        }
+    }
 }
 
 TEST(NativeRuntime, BothProtocolsMatchEngineAcrossAbortHeavySweep)

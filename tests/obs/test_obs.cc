@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/ema_model.h"
+#include "core/native_runtime.h"
 #include "metrics/metrics.h"
 #include "obs/abort_report.h"
 #include "obs/flight_recorder.h"
@@ -26,6 +27,7 @@
 
 namespace {
 
+using repro::core::NativeRuntime;
 using repro::obs::AbortLog;
 using repro::obs::AbortReport;
 using repro::obs::FlightRecorder;
@@ -299,6 +301,96 @@ TEST(SpanTrace, ReplicasRegenerateOnlyOnFirstCandidateMiss)
                     1e-9);
         EXPECT_LE(rep->validateSeconds + rep->wastedReplicaSeconds,
                   spanSeconds(*val) + 1e-9);
+    }
+    EXPECT_GT(firstHits, 0u) << "config must commit on the first compare";
+    EXPECT_GT(misses, 0u) << "config must miss the first compare";
+    EXPECT_FALSE(reports.empty()) << "config must abort";
+}
+
+TEST(SpanTrace, BatchBarrierRegeneratesReplicasOnlyOnFirstMiss)
+{
+    // The batch barrier schedule resolves a boundary the way the
+    // serving pipeline does: compare against the committed final
+    // state, and only on a miss regenerate the R-1 replicas (fanned
+    // out on the pool) inside the validation span.  Batch replica
+    // spans carry the boundary index c; the validation they serve is
+    // chunk c+1's.
+    EmaModel::Config mc;
+    mc.inputs = 128;
+    mc.alpha = 0.5;
+    mc.noise = 0.3;
+    mc.tolerance = 0.1;
+    const EmaModel model(mc);
+    constexpr unsigned C = 16;
+    constexpr unsigned R = 3;
+    repro::core::StatsConfig config;
+    config.numChunks = C;
+    config.altWindowK = 4;
+    config.numOriginalStates = R;
+
+    SpanRecorder::global().clear();
+    AbortLog::global().clear();
+    const NativeRuntime native(4, repro::core::CommitProtocol::Barrier);
+    native.run(model, config, 3);
+
+    const SpanSnapshot snap = SpanRecorder::global().snapshot();
+    EXPECT_EQ(snap.dropped, 0u);
+    const std::vector<AbortReport> reports = AbortLog::global().recent();
+    unsigned firstHits = 0;
+    unsigned misses = 0;
+    for (std::int64_t c = 1; c < C; ++c) {
+        const Span *val = findSpan(snap, SpanKind::Validation, c);
+        ASSERT_NE(val, nullptr) << "chunk " << c;
+        const Span *commit = findSpan(snap, SpanKind::Commit, c);
+        ASSERT_NE(commit, nullptr) << "chunk " << c;
+        std::vector<const Span *> regens;
+        for (const Span &s : snap.spans)
+            if (s.kind == SpanKind::ReplicaRegen && s.chunk == c - 1)
+                regens.push_back(&s);
+
+        if (commit->detail == -1) {
+            // The committed final state matched: no replica was built.
+            ++firstHits;
+            EXPECT_TRUE(regens.empty()) << "chunk " << c;
+            EXPECT_EQ(val->detail, 1) << "chunk " << c;
+            continue;
+        }
+        ++misses;
+        ASSERT_EQ(regens.size(), R - 1) << "chunk " << c;
+        double regenSeconds = 0.0;
+        std::uint64_t regenFrom = val->endNs;
+        std::uint64_t regenTo = val->startNs;
+        for (const Span *rs : regens) {
+            // Each replica hangs off, and runs inside, the validation
+            // that asked for it.
+            EXPECT_EQ(rs->parent, val->id);
+            EXPECT_GE(rs->startNs, val->startNs);
+            EXPECT_LE(rs->endNs, val->endNs);
+            regenSeconds += spanSeconds(*rs);
+            regenFrom = std::min(regenFrom, rs->startNs);
+            regenTo = std::max(regenTo, rs->endNs);
+        }
+        const Span *abort = findSpan(snap, SpanKind::Abort, c);
+        if (!abort) {
+            EXPECT_GE(commit->detail, 0) << "chunk " << c;
+            continue;
+        }
+        EXPECT_EQ(commit->detail, -2) << "chunk " << c;
+        const AbortReport *rep = nullptr;
+        for (const AbortReport &r : reports)
+            if (r.chunk == c)
+                rep = &r;
+        ASSERT_NE(rep, nullptr) << "chunk " << c;
+        EXPECT_EQ(rep->spanId, abort->id);
+        EXPECT_EQ(rep->comparisons.size(), std::size_t{R});
+        EXPECT_NEAR(rep->wastedReplicaSeconds, regenSeconds, 1e-9);
+        // The fan-out's wall interval is taken out of the validation
+        // time, so the two extra-computation terms stay disjoint.
+        const double fanOut =
+            static_cast<double>(regenTo - regenFrom) * 1e-9;
+        EXPECT_NEAR(rep->validateSeconds, spanSeconds(*val) - fanOut,
+                    1e-9);
+        EXPECT_LE(rep->validateSeconds + fanOut, spanSeconds(*val) + 1e-9);
     }
     EXPECT_GT(firstHits, 0u) << "config must commit on the first compare";
     EXPECT_GT(misses, 0u) << "config must miss the first compare";
