@@ -623,9 +623,6 @@ main(int argc, char **argv)
              << ",\n"
              << "      \"measured_makespan_us\": " << mode.mt.makespanUs()
              << ",\n"
-             << "      \"pool_tasks\": " << mode.mt.poolTasks << ",\n"
-             << "      \"pool_busy_seconds\": " << mode.mt.poolBusySeconds
-             << ",\n"
              << "      \"critical_path\": {\"busy_us\": "
              << mode.cp.busyCycles << ", \"wait_us\": "
              << mode.cp.waitCycles << ", \"makespan_us\": "

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <chrono>
 
+#include "core/protocol_steps.h"
 #include "core/rng_streams.h"
+#include "core/step_scope.h"
 #include "core/versioned_state.h"
 #include "metrics/metrics.h"
-#include "obs/abort_report.h"
 #include "obs/span_recorder.h"
 #include "trace/measured_trace.h"
 #include "util/log.h"
@@ -97,42 +98,11 @@ phaseHists(bool pipelined)
     return pipelined ? piped : barrier;
 }
 
-/** Sentinel for "no recorded task". */
-constexpr TaskId kNoTask = static_cast<TaskId>(-1);
-
 /** Commit-protocol thread id in the measured graph.  The protocol
  *  resolves boundaries in program order, so its tasks form one logical
  *  thread — executed by the caller under the barrier protocol, by pool
  *  workers under the pipelined one. */
 constexpr ThreadId kMainThread = 0;
-
-/** Seconds a finished span covered (0 for unfinished/untraced). */
-double
-spanSeconds(const obs::Span &span)
-{
-    return span.endNs > span.startNs
-               ? static_cast<double>(span.endNs - span.startNs) * 1e-9
-               : 0.0;
-}
-
-/** Fills the block-level divergence fields of @p cmp from the two
- *  states' payloads, when both are block-backed (legacy deep states
- *  keep the -1 "unknown" defaults). */
-void
-fillPayloadDiff(const State &spec, const State &candidate,
-                obs::AbortComparison &cmp)
-{
-    const VersionedBuffer *a = spec.payload();
-    const VersionedBuffer *b = candidate.payload();
-    if (!a || !b)
-        return;
-    const VersionedBuffer::DiffReport d =
-        VersionedBuffer::diffReport(*a, *b);
-    if (!d.comparable)
-        return;
-    cmp.firstDiffBlock = d.firstDiffBlock;
-    cmp.bytesCompared = d.bytesCompared;
-}
 
 /** Per-chunk speculative products, filled by the parallel phase. */
 struct ChunkProducts
@@ -186,18 +156,12 @@ class Observer
 
     bool on() const { return rec_ != nullptr; }
 
-    TaskId
-    begin(TaskKind kind, ThreadId thread,
-          std::int32_t chunk = trace::kNoChunk) const
+    /** The measured task of a step (recorded only when attached). */
+    StepTask
+    task(TaskKind kind, ThreadId thread,
+         std::int32_t chunk = trace::kNoChunk) const
     {
-        return rec_ ? rec_->begin(kind, thread, chunk) : kNoTask;
-    }
-
-    void
-    end(TaskId id) const
-    {
-        if (rec_)
-            rec_->end(id);
+        return {rec_, kind, thread, chunk};
     }
 
     TaskId
@@ -227,54 +191,6 @@ class Observer
 };
 
 /**
- * Installs the recorder's profiler on the shared pool for the scope
- * of one recorded run, restoring the previous profiler on exit, so
- * the measured trace also captures real worker occupancy.
- */
-class ScopedPoolProfile
-{
-  public:
-    ScopedPoolProfile(util::ThreadPool &pool,
-                      trace::MeasuredTraceRecorder *recorder)
-        : pool_(pool), active_(recorder != nullptr)
-    {
-        if (active_)
-            previous_ = pool_.setProfiler(recorder->poolProfiler());
-    }
-
-    ~ScopedPoolProfile()
-    {
-        if (active_)
-            pool_.setProfiler(std::move(previous_));
-    }
-
-  private:
-    util::ThreadPool &pool_;
-    bool active_;
-    std::shared_ptr<util::ThreadPool::Profiler> previous_;
-};
-
-/**
- * Runs updates [from, to) on @p state with @p rng, charged to @p kind
- * (the category the span's computation belongs to in the overhead
- * taxonomy: ChunkBody for useful work, AltProducer for speculative
- * replays, OriginalStateGen for boundary replicas, MispecReExec for
- * abort re-execution).
- */
-void
-runSpan(const IStateModel &model, State &state, std::size_t from,
-        std::size_t to, util::Rng &rng, double *outs, TaskKind kind)
-{
-    ExecContext ctx(rng, nullptr, kind);
-    for (std::size_t i = from; i < to; ++i) {
-        const double out = model.update(state, i, ctx);
-        if (outs)
-            outs[i - from] = out;
-    }
-    rng = ctx.rng();
-}
-
-/**
  * One NativeRuntime::run invocation: the speculative chunk executions,
  * boundary replicas, and in-order commit resolution, schedulable
  * either as the historical two-phase barrier or as a dependency-driven
@@ -292,11 +208,12 @@ class RunImpl
           n_(model.numInputs()), C_(config.numChunks),
           K_(config.altWindowK), R_(config.numOriginalStates),
           maxThreads_(max_threads), pool_(util::ThreadPool::global()),
-          poolProfile_(pool_, recorder), met_(runtimeCounters()),
-          ph_(&phaseHists(false)),
+          met_(runtimeCounters()), ph_(&phaseHists(false)),
           stateBytes_(model.stateSizeBytes())
     {
-        setupTask_ = obs_.begin(TaskKind::Setup, kMainThread);
+        const StepScope setup(nullptr,
+                              obs_.task(TaskKind::Setup, kMainThread));
+        setupTask_ = setup.task();
         begin_.resize(C_);
         end_.resize(C_);
         for (unsigned c = 0; c < C_; ++c) {
@@ -311,7 +228,6 @@ class RunImpl
             bp.replicaTasks.assign(bp.replicas.size(), kNoTask);
             bp.replicaSpans.resize(bp.replicas.size());
         }
-        obs_.end(setupTask_);
     }
 
     /**
@@ -417,21 +333,51 @@ class RunImpl
     }
 
   private:
-    /** Clones @p source, charging the copy to the always-on metrics
-     *  (count, bytes, latency).  All protocol state copies go through
-     *  here; the recorder's StateCopy tasks stay at the call sites.
-     *  Block-state payloads report the bytes the clone actually moved
-     *  (zero for a pure block-sharing copy-on-write clone). */
+    /** Clones @p source as one StateCopy step of logical thread
+     *  @p thread, charged to the always-on metrics (count, bytes,
+     *  latency); @p task receives its recorded task id.  All protocol
+     *  state copies go through here.  Block-state payloads report the
+     *  bytes the clone actually moved (zero for a pure block-sharing
+     *  copy-on-write clone). */
     StateHandle
-    cloneCounted(const State &source)
+    cloneCounted(const State &source, ThreadId thread, unsigned chunk,
+                 TaskId &task)
     {
-        const metrics::ScopedTimer timer(ph_->stateCopy);
+        const StepScope step(&ph_->stateCopy,
+                             obs_.task(TaskKind::StateCopy, thread, chunk));
+        task = step.task();
         met_.stateCopies.inc();
         StateHandle copy = source.clone();
         met_.stateCopyBytes.inc(
             copy->payload() ? copy->payload()->creationStats().bytesCopied
                             : stateBytes_);
         return copy;
+    }
+
+    /** Identity of the batch (session 0) span @p kind over inputs
+     *  [from, to) of chunk @p c. */
+    obs::Span
+    chunkSpan(obs::SpanKind kind, std::uint64_t parent, unsigned c,
+              std::size_t from, std::size_t to,
+              std::int64_t detail = -1) const
+    {
+        return {.parent = parent,
+                .chunk = c,
+                .firstInput = static_cast<std::int64_t>(from),
+                .inputCount = static_cast<std::uint32_t>(to - from),
+                .kind = kind,
+                .detail = detail};
+    }
+
+    /** Opens the batch span @p kind over the whole of chunk @p c. */
+    obs::Span
+    startChunkSpan(obs::SpanKind kind, std::uint64_t parent, unsigned c,
+                   std::int64_t detail = -1)
+    {
+        return spans_.start(kind, parent, 0, c,
+                            static_cast<std::int64_t>(begin_[c]),
+                            static_cast<std::uint32_t>(end_[c] - begin_[c]),
+                            detail);
     }
 
     ThreadId
@@ -462,55 +408,35 @@ class RunImpl
             // streams::alt(c)).
             working = model_.coldState();
             util::Rng alt_rng = base_.split(streams::alt(c));
-            cp.altTask = obs_.begin(TaskKind::AltProducer, th,
-                                    static_cast<std::int32_t>(c));
-            obs_.dep(setupTask_, cp.altTask);
-            cp.altSpan = spans_.start(
-                obs::SpanKind::AltProducer, 0, 0,
-                static_cast<std::int64_t>(c),
-                static_cast<std::int64_t>(begin_[c]),
-                static_cast<std::uint32_t>(end_[c] - begin_[c]),
-                static_cast<std::int64_t>(K_));
-            {
-                const metrics::ScopedTimer timer(ph_->altProducer);
-                runSpan(model_, *working, begin_[c] - K_, begin_[c],
-                        alt_rng, nullptr, TaskKind::AltProducer);
-            }
-            spans_.finish(cp.altSpan);
-            obs_.end(cp.altTask);
-            cp.specCopyTask = obs_.begin(TaskKind::StateCopy, th,
-                                         static_cast<std::int32_t>(c));
-            cp.specState = cloneCounted(*working);
-            obs_.end(cp.specCopyTask);
+            StepScope alt(&ph_->altProducer,
+                          obs_.task(TaskKind::AltProducer, th, c),
+                          chunkSpan(obs::SpanKind::AltProducer, 0, c,
+                                    begin_[c], end_[c], K_));
+            obs_.dep(setupTask_, alt.task());
+            runSpan(model_, *working, begin_[c] - K_, begin_[c], alt_rng,
+                    nullptr, TaskKind::AltProducer);
+            cp.altTask = alt.task();
+            cp.altSpan = alt.finish();
+            cp.specState = cloneCounted(*working, th, c, cp.specCopyTask);
         }
 
         const bool needs_snapshot = c + 1 < C_;
-        cp.snap = needs_snapshot ? std::max(begin_[c], end_[c] - K_)
+        cp.snap = needs_snapshot ? snapshotPoint(begin_[c], end_[c], K_)
                                  : end_[c];
         cp.bodyRng = base_.split(streams::body(c));
         cp.outputs.resize(end_[c] - begin_[c]);
-        cp.bodyA = obs_.begin(TaskKind::ChunkBody, th,
-                              static_cast<std::int32_t>(c));
+        StepScope body(&ph_->chunkBody, obs_.task(TaskKind::ChunkBody, th, c),
+                       chunkSpan(obs::SpanKind::ChunkBody, cp.altSpan.id, c,
+                                 begin_[c], cp.snap));
         if (c == 0)
-            obs_.dep(setupTask_, cp.bodyA);
-        cp.bodySpanA = spans_.start(
-            obs::SpanKind::ChunkBody, cp.altSpan.id, 0,
-            static_cast<std::int64_t>(c),
-            static_cast<std::int64_t>(begin_[c]),
-            static_cast<std::uint32_t>(cp.snap - begin_[c]));
-        {
-            const metrics::ScopedTimer timer(ph_->chunkBody);
-            runSpan(model_, *working, begin_[c], cp.snap, cp.bodyRng,
-                    cp.outputs.data(), TaskKind::ChunkBody);
-        }
-        spans_.finish(cp.bodySpanA);
-        obs_.end(cp.bodyA);
+            obs_.dep(setupTask_, body.task());
+        runSpan(model_, *working, begin_[c], cp.snap, cp.bodyRng,
+                cp.outputs.data(), TaskKind::ChunkBody);
+        cp.bodyA = body.task();
+        cp.bodySpanA = body.finish();
         cp.bodyLast = cp.bodyA;
         if (needs_snapshot) {
-            cp.snapshotTask = obs_.begin(TaskKind::StateCopy, th,
-                                         static_cast<std::int32_t>(c));
-            cp.snapshot = cloneCounted(*working);
-            obs_.end(cp.snapshotTask);
+            cp.snapshot = cloneCounted(*working, th, c, cp.snapshotTask);
             cp.working = std::move(working);
         } else {
             cp.finalState = std::move(working);
@@ -524,21 +450,14 @@ class RunImpl
     {
         const ThreadId th = chunkThread(c);
         ChunkProducts &cp = chunks_[c];
-        cp.bodyB = obs_.begin(TaskKind::ChunkBody, th,
-                              static_cast<std::int32_t>(c));
-        cp.bodySpanB = spans_.start(
-            obs::SpanKind::ChunkBody, cp.bodySpanA.id, 0,
-            static_cast<std::int64_t>(c),
-            static_cast<std::int64_t>(cp.snap),
-            static_cast<std::uint32_t>(end_[c] - cp.snap));
-        {
-            const metrics::ScopedTimer timer(ph_->chunkBody);
-            runSpan(model_, *cp.working, cp.snap, end_[c], cp.bodyRng,
-                    cp.outputs.data() + (cp.snap - begin_[c]),
-                    TaskKind::ChunkBody);
-        }
-        spans_.finish(cp.bodySpanB);
-        obs_.end(cp.bodyB);
+        StepScope body(&ph_->chunkBody, obs_.task(TaskKind::ChunkBody, th, c),
+                       chunkSpan(obs::SpanKind::ChunkBody, cp.bodySpanA.id,
+                                 c, cp.snap, end_[c]));
+        runSpan(model_, *cp.working, cp.snap, end_[c], cp.bodyRng,
+                cp.outputs.data() + (cp.snap - begin_[c]),
+                TaskKind::ChunkBody);
+        cp.bodyB = body.task();
+        cp.bodySpanB = body.finish();
         cp.bodyLast = cp.bodyB;
         cp.finalState = std::move(cp.working);
     }
@@ -565,33 +484,21 @@ class RunImpl
                       std::uint64_t parent_span, TaskId after = kNoTask)
     {
         const ThreadId rth = replicaThread(c, rep);
-        const TaskId rep_copy = obs_.begin(
-            TaskKind::StateCopy, rth, static_cast<std::int32_t>(c));
+        TaskId rep_copy = kNoTask;
+        StateHandle replica = cloneCounted(source, rth, c, rep_copy);
         obs_.dep(source_task, rep_copy);
         obs_.dep(after, rep_copy);
-        StateHandle replica = cloneCounted(source);
-        obs_.end(rep_copy);
-        const TaskId rep_task =
-            obs_.begin(TaskKind::OriginalStateGen, rth,
-                       static_cast<std::int32_t>(c));
-        obs::Span repSpan = spans_.start(
-            obs::SpanKind::ReplicaRegen, parent_span, 0,
-            static_cast<std::int64_t>(c),
-            static_cast<std::int64_t>(snap),
-            static_cast<std::uint32_t>(end_[c] - snap),
-            static_cast<std::int64_t>(rep));
+        StepScope regen(&ph_->replicaGen,
+                        obs_.task(TaskKind::OriginalStateGen, rth, c),
+                        chunkSpan(obs::SpanKind::ReplicaRegen, parent_span,
+                                  c, snap, end_[c], rep));
         util::Rng rng = base_.split(streams::replica(c, rep));
         met_.replicaRegens.inc();
-        {
-            const metrics::ScopedTimer timer(ph_->replicaGen);
-            runSpan(model_, *replica, snap, end_[c], rng, nullptr,
-                    TaskKind::OriginalStateGen);
-        }
-        spans_.finish(repSpan);
-        obs_.end(rep_task);
+        runSpan(model_, *replica, snap, end_[c], rng, nullptr,
+                TaskKind::OriginalStateGen);
         BoundaryProducts &bp = boundaries_[c];
-        bp.replicaTasks[rep] = rep_task;
-        bp.replicaSpans[rep] = repSpan;
+        bp.replicaTasks[rep] = regen.task();
+        bp.replicaSpans[rep] = regen.finish();
         bp.replicas[rep] = std::move(replica);
     }
 
@@ -608,7 +515,7 @@ class RunImpl
     {
         if (R_ <= 1)
             return;
-        const std::size_t snap = std::max(begin_[c], end_[c] - K_);
+        const std::size_t snap = snapshotPoint(begin_[c], end_[c], K_);
         pool_.parallelFor(
             R_ - 1,
             [&](std::size_t rep) {
@@ -633,7 +540,7 @@ class RunImpl
     void
     resolveBoundary(unsigned c)
     {
-        const metrics::ScopedTimer boundary_timer(ph_->boundaryResolve);
+        const StepScope resolve(&ph_->boundaryResolve);
         if (c == 0) {
             // Chunk 0 runs from the program's initial state — it is
             // never speculative, so its products commit as they are.
@@ -645,10 +552,8 @@ class RunImpl
             std::copy(chunks_[0].outputs.begin(),
                       chunks_[0].outputs.end(),
                       result_.outputs.begin() + begin_[0]);
-            obs::Span commit0 = spans_.start(
-                obs::SpanKind::Commit, chunks_[0].bodySpanA.id, 0, 0,
-                static_cast<std::int64_t>(begin_[0]),
-                static_cast<std::uint32_t>(end_[0] - begin_[0]), -1);
+            obs::Span commit0 = startChunkSpan(
+                obs::SpanKind::Commit, chunks_[0].bodySpanA.id, 0);
             spans_.finish(commit0);
         }
 
@@ -671,9 +576,10 @@ class RunImpl
         ChunkProducts &nxt = chunks_[c + 1];
         TaskId first_compare = kNoTask;
         const auto compare = [&](const State &original, int rep) {
-            const TaskId cmp =
-                obs_.begin(TaskKind::StateCompare, kMainThread,
-                           static_cast<std::int32_t>(c));
+            const StepScope step(
+                &ph_->compare,
+                obs_.task(TaskKind::StateCompare, kMainThread, c));
+            const TaskId cmp = step.task();
             if (rep >= 0) {
                 obs_.dep(bp.replicaTasks[rep], cmp);
             } else {
@@ -689,22 +595,13 @@ class RunImpl
                 first_compare = cmp;
             }
             met_.compares.inc();
-            bool matched;
-            {
-                const metrics::ScopedTimer timer(ph_->compare);
-                matched = model_.matches(*nxt.specState, original);
-            }
+            const bool matched = model_.matches(*nxt.specState, original);
             (matched ? met_.matches : met_.mismatches).inc();
-            obs_.end(cmp);
             return matched;
         };
-        obs::Span valSpan = spans_.start(
-            obs::SpanKind::Validation, nxt.bodySpanA.id, 0,
-            static_cast<std::int64_t>(c + 1),
-            static_cast<std::int64_t>(begin_[c + 1]),
-            static_cast<std::uint32_t>(end_[c + 1] - begin_[c + 1]));
+        obs::Span valSpan = startChunkSpan(obs::SpanKind::Validation,
+                                           nxt.bodySpanA.id, c + 1);
         bool matched = compare(*committedFinal_, -1);
-        const bool matched_first = matched;
         if (!matched && !replicas_valid)
             regenerateReplicasFromCommitted(c, first_compare, valSpan.id);
         std::int64_t matchedCandidate = matched ? -1 : -2;
@@ -729,94 +626,24 @@ class RunImpl
             committedSnapshot_ = nxt.snapshot.get();
             committedSnapshotTask_ = nxt.snapshotTask;
             committedSpeculative_ = true;
-            obs::Span commit = spans_.start(
-                obs::SpanKind::Commit, valSpan.id, 0,
-                static_cast<std::int64_t>(c + 1),
-                static_cast<std::int64_t>(begin_[c + 1]),
-                static_cast<std::uint32_t>(end_[c + 1] - begin_[c + 1]),
-                matchedCandidate);
+            obs::Span commit = startChunkSpan(
+                obs::SpanKind::Commit, valSpan.id, c + 1, matchedCandidate);
             spans_.finish(commit);
         } else {
-            obs::Span abortSpan = spans_.start(
-                obs::SpanKind::Abort, valSpan.id, 0,
-                static_cast<std::int64_t>(c + 1),
-                static_cast<std::int64_t>(begin_[c + 1]),
-                static_cast<std::uint32_t>(end_[c + 1] - begin_[c + 1]));
-            if (obs::enabled()) {
-                // Root-cause attribution while every candidate is
-                // still alive: where each comparison diverged, and
-                // what the abort cost in §V-B terms (the speculated
-                // body + alt-producer work is mispeculation; replicas
-                // and compares were extra computation either way).
-                // The wall interval of a replica fan-out the
-                // validation span encloses is taken out of it, so the
-                // validate and replica terms stay disjoint.
-                obs::AbortReport report;
-                report.session = 0;
-                report.chunk = c + 1;
-                report.firstInput = begin_[c + 1];
-                report.inputCount = end_[c + 1] - begin_[c + 1];
-                report.spanId = abortSpan.id;
-                report.wastedBodySeconds = spanSeconds(nxt.bodySpanA) +
-                                           spanSeconds(nxt.bodySpanB);
-                report.wastedAltSeconds = spanSeconds(nxt.altSpan);
-                obs::Span regen; // Wall interval of the fan-out.
-                regen.startNs = valSpan.endNs;
-                for (const obs::Span &rs : bp.replicaSpans) {
-                    report.wastedReplicaSeconds += spanSeconds(rs);
-                    if (rs.parent != valSpan.id)
-                        continue; // Eager: ran before the validation.
-                    regen.startNs = std::min(regen.startNs, rs.startNs);
-                    regen.endNs = std::max(regen.endNs, rs.endNs);
-                }
-                report.validateSeconds = std::max(
-                    0.0, spanSeconds(valSpan) - spanSeconds(regen));
-                obs::AbortComparison first;
-                first.candidate = -1;
-                first.matched = matched_first;
-                fillPayloadDiff(*nxt.specState, *committedFinal_,
-                                first);
-                report.comparisons.push_back(first);
-                for (std::size_t rep = 0; rep < bp.replicas.size();
-                     ++rep) {
-                    obs::AbortComparison cmp;
-                    cmp.candidate = static_cast<int>(rep);
-                    cmp.matched = false;
-                    fillPayloadDiff(*nxt.specState, *bp.replicas[rep],
-                                    cmp);
-                    report.comparisons.push_back(cmp);
-                }
-                // Headline: the candidate the byte walk got furthest
-                // into before diverging; ties go to the later
-                // candidate so a replica is named over the committed
-                // final.
-                std::uint64_t best = 0;
-                bool haveBest = false;
-                for (const obs::AbortComparison &cmp :
-                     report.comparisons) {
-                    report.bytesCompared += cmp.bytesCompared;
-                    if (!haveBest || cmp.bytesCompared >= best) {
-                        best = cmp.bytesCompared;
-                        haveBest = true;
-                        report.mismatchCandidate = cmp.candidate;
-                        report.firstDiffBlock = cmp.firstDiffBlock;
-                    }
-                }
-                obs::AbortLog::global().record(std::move(report));
-            }
-            obs::Span reSpan = spans_.start(
-                obs::SpanKind::ReExec, abortSpan.id, 0,
-                static_cast<std::int64_t>(c + 1),
-                static_cast<std::int64_t>(begin_[c + 1]),
-                static_cast<std::uint32_t>(end_[c + 1] - begin_[c + 1]));
+            obs::Span abortSpan =
+                startChunkSpan(obs::SpanKind::Abort, valSpan.id, c + 1);
+            // Root-cause attribution while every candidate is still
+            // alive; the speculated body and alt producer were
+            // mispeculation.
+            recordAbort(abortSpan, *nxt.specState, *committedFinal_,
+                        bp.replicas, valSpan, bp.replicaSpans, nxt.altSpan,
+                        {nxt.bodySpanA, nxt.bodySpanB});
+            obs::Span reSpan =
+                startChunkSpan(obs::SpanKind::ReExec, abortSpan.id, c + 1);
             reexecuteChunk(c);
             spans_.finish(reSpan);
-            obs::Span commit = spans_.start(
-                obs::SpanKind::Commit, abortSpan.id, 0,
-                static_cast<std::int64_t>(c + 1),
-                static_cast<std::int64_t>(begin_[c + 1]),
-                static_cast<std::uint32_t>(end_[c + 1] - begin_[c + 1]),
-                -2);
+            obs::Span commit = startChunkSpan(obs::SpanKind::Commit,
+                                              abortSpan.id, c + 1, -2);
             spans_.finish(commit);
             spans_.finish(abortSpan);
         }
@@ -842,47 +669,23 @@ class RunImpl
         ++result_.aborts;
         obs_.retag(nxt.bodyA, TaskKind::MispecReExec);
         obs_.retag(nxt.bodyB, TaskKind::MispecReExec);
-        const TaskId redo_copy =
-            obs_.begin(TaskKind::StateCopy, kMainThread,
-                       static_cast<std::int32_t>(c + 1));
+        TaskId redo_copy = kNoTask;
+        StateHandle redo =
+            cloneCounted(*committedFinal_, kMainThread, c + 1, redo_copy);
         obs_.dep(committedFinalTask_, redo_copy);
-        StateHandle redo = cloneCounted(*committedFinal_);
-        obs_.end(redo_copy);
         util::Rng redo_rng = base_.split(streams::reexec(c + 1));
         const bool needs_snapshot = c + 2 < C_;
         const std::size_t redo_snap =
-            needs_snapshot ? std::max(begin_[c + 1], end_[c + 1] - K_)
+            needs_snapshot ? snapshotPoint(begin_[c + 1], end_[c + 1], K_)
                            : end_[c + 1];
-        const TaskId redo_a =
-            obs_.begin(TaskKind::MispecReExec, kMainThread,
-                       static_cast<std::int32_t>(c + 1));
-        {
-            const metrics::ScopedTimer timer(ph_->reexec);
-            runSpan(model_, *redo, begin_[c + 1], redo_snap, redo_rng,
-                    result_.outputs.data() + begin_[c + 1],
-                    TaskKind::MispecReExec);
-        }
-        obs_.end(redo_a);
-        committedFinalTask_ = redo_a;
+        committedFinalTask_ =
+            reexecute(*redo, begin_[c + 1], redo_snap, redo_rng, c + 1);
         if (needs_snapshot) {
-            const TaskId redo_snap_copy =
-                obs_.begin(TaskKind::StateCopy, kMainThread,
-                           static_cast<std::int32_t>(c + 1));
-            committedSnapshotOwned_ = cloneCounted(*redo);
-            obs_.end(redo_snap_copy);
+            committedSnapshotOwned_ = cloneCounted(
+                *redo, kMainThread, c + 1, committedSnapshotTask_);
             committedSnapshot_ = committedSnapshotOwned_.get();
-            committedSnapshotTask_ = redo_snap_copy;
-            const TaskId redo_b =
-                obs_.begin(TaskKind::MispecReExec, kMainThread,
-                           static_cast<std::int32_t>(c + 1));
-            {
-                const metrics::ScopedTimer timer(ph_->reexec);
-                runSpan(model_, *redo, redo_snap, end_[c + 1], redo_rng,
-                        result_.outputs.data() + redo_snap,
-                        TaskKind::MispecReExec);
-            }
-            obs_.end(redo_b);
-            committedFinalTask_ = redo_b;
+            committedFinalTask_ =
+                reexecute(*redo, redo_snap, end_[c + 1], redo_rng, c + 1);
         } else {
             committedSnapshotOwned_.reset();
             committedSnapshot_ = nullptr;
@@ -893,6 +696,21 @@ class RunImpl
         committedSpeculative_ = false;
     }
 
+    /** Re-executes inputs [from, to) of chunk @p chunk on @p state as
+     *  one MispecReExec step, writing the committed outputs; returns
+     *  its recorded task id. */
+    TaskId
+    reexecute(State &state, std::size_t from, std::size_t to,
+              util::Rng &rng, unsigned chunk)
+    {
+        const StepScope step(
+            &ph_->reexec,
+            obs_.task(TaskKind::MispecReExec, kMainThread, chunk));
+        runSpan(model_, state, from, to, rng, result_.outputs.data() + from,
+                TaskKind::MispecReExec);
+        return step.task();
+    }
+
     const IStateModel &model_;
     const Observer obs_;
     const util::Rng base_;
@@ -900,7 +718,6 @@ class RunImpl
     const unsigned C_, K_, R_;
     const unsigned maxThreads_;
     util::ThreadPool &pool_;
-    const ScopedPoolProfile poolProfile_;
     RuntimeCounters &met_;
     /** Batch spans record under session 0 (obs/span_recorder.h);
      *  purely observational — never changes outputs. */
@@ -962,10 +779,12 @@ NativeRuntime::runSequential(const IStateModel &model, std::uint64_t seed,
     result.outputs.resize(model.numInputs());
     StateHandle state = model.initialState();
     util::Rng rng = util::Rng(seed).split(1);
-    const TaskId body = obs.begin(TaskKind::ChunkBody, kMainThread);
-    runSpan(model, *state, 0, model.numInputs(), rng,
-            result.outputs.data(), TaskKind::ChunkBody);
-    obs.end(body);
+    {
+        const StepScope body(nullptr,
+                             obs.task(TaskKind::ChunkBody, kMainThread));
+        runSpan(model, *state, 0, model.numInputs(), rng,
+                result.outputs.data(), TaskKind::ChunkBody);
+    }
     result.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)

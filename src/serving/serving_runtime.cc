@@ -4,6 +4,7 @@
 #include <deque>
 #include <utility>
 
+#include "core/step_scope.h"
 #include "metrics/metrics.h"
 #include "obs/span_recorder.h"
 #include "util/log.h"
@@ -331,22 +332,23 @@ strandLoop(const std::shared_ptr<Session> &s)
                 cur.numOriginalStates)
             s->pipeline.reconfigure(chunk.pipelineCfg);
 
-        auto &rec = obs::SpanRecorder::global();
-        obs::Span procSpan = rec.start(
-            obs::SpanKind::ChunkProcess, chunk.closeSpan, s->id,
-            static_cast<std::int64_t>(
-                s->chunksProcessed.load(std::memory_order_relaxed)),
-            chunk.tokens.empty()
-                ? -1
-                : static_cast<std::int64_t>(chunk.tokens.front().index),
-            static_cast<std::uint32_t>(chunk.tokens.size()));
-        s->pipeline.setTraceContext(s->id, procSpan.id);
-        SessionPipeline::ChunkResult result;
-        {
-            const metrics::ScopedTimer timer(m.chunkProcess);
-            result = s->pipeline.processChunk(chunk.tokens.size());
-        }
-        rec.finish(procSpan);
+        core::StepScope process(
+            &m.chunkProcess, {},
+            obs::Span{
+                .parent = chunk.closeSpan,
+                .session = s->id,
+                .chunk = static_cast<std::int64_t>(
+                    s->chunksProcessed.load(std::memory_order_relaxed)),
+                .firstInput = chunk.tokens.empty()
+                                  ? -1
+                                  : static_cast<std::int64_t>(
+                                        chunk.tokens.front().index),
+                .inputCount = static_cast<std::uint32_t>(chunk.tokens.size()),
+                .kind = obs::SpanKind::ChunkProcess});
+        s->pipeline.setTraceContext(s->id, process.spanId());
+        const SessionPipeline::ChunkResult result =
+            s->pipeline.processChunk(chunk.tokens.size());
+        process.finish();
         s->chunksProcessed.fetch_add(1, std::memory_order_relaxed);
         if (result.aborted) {
             s->aborts.fetch_add(1, std::memory_order_relaxed);
@@ -357,8 +359,9 @@ strandLoop(const std::shared_ptr<Session> &s)
         }
 
         if (s->cfg.onResult) {
+            auto &rec = obs::SpanRecorder::global();
             obs::Span cbSpan = rec.start(
-                obs::SpanKind::Callback, procSpan.id, s->id,
+                obs::SpanKind::Callback, process.spanId(), s->id,
                 static_cast<std::int64_t>(result.chunkIndex),
                 static_cast<std::int64_t>(result.firstInput),
                 static_cast<std::uint32_t>(result.outputs.size()));

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/protocol_steps.h"
 #include "core/rng_streams.h"
-#include "core/versioned_state.h"
 #include "metrics/metrics.h"
-#include "obs/abort_report.h"
 #include "obs/span_recorder.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
@@ -15,8 +14,8 @@ namespace repro::serving {
 
 namespace {
 
-using core::ExecContext;
 using core::IStateModel;
+using core::runSpan;
 using core::State;
 using core::StateHandle;
 using trace::TaskKind;
@@ -45,22 +44,6 @@ matchMetrics()
     return m;
 }
 
-/** Runs updates [from, to) on @p state with @p rng — the same span
- *  primitive the batch runtime uses, so the state and RNG evolution
- *  per chunk are step-for-step identical. */
-void
-runSpan(const IStateModel &model, State &state, std::size_t from,
-        std::size_t to, util::Rng &rng, double *outs, TaskKind kind)
-{
-    ExecContext ctx(rng, nullptr, kind);
-    for (std::size_t i = from; i < to; ++i) {
-        const double out = model.update(state, i, ctx);
-        if (outs)
-            outs[i - from] = out;
-    }
-    rng = ctx.rng();
-}
-
 /** Runs a whole chunk [start, end) on @p state, writing its outputs
  *  to outs[0, end - start), and returns the clone taken at @p snap —
  *  the snapshot the next boundary regenerates its replicas from. */
@@ -73,34 +56,6 @@ runChunk(const IStateModel &model, State &state, std::size_t start,
     StateHandle snapshot = state.clone();
     runSpan(model, state, snap, end, rng, outs + (snap - start), kind);
     return snapshot;
-}
-
-/** Wall seconds a finished span covered (0 for untraced spans). */
-double
-spanSeconds(const obs::Span &s)
-{
-    return s.endNs > s.startNs
-               ? static_cast<double>(s.endNs - s.startNs) * 1e-9
-               : 0.0;
-}
-
-/** Fills the block-level divergence fields of @p cmp from the two
- *  states' payloads, when both are block-backed (legacy deep states
- *  keep the -1 "unknown" defaults). */
-void
-fillPayloadDiff(const State &spec, const State &candidate,
-                obs::AbortComparison &cmp)
-{
-    const core::VersionedBuffer *a = spec.payload();
-    const core::VersionedBuffer *b = candidate.payload();
-    if (!a || !b)
-        return;
-    const core::VersionedBuffer::DiffReport d =
-        core::VersionedBuffer::diffReport(*a, *b);
-    if (!d.comparable)
-        return;
-    cmp.firstDiffBlock = d.firstDiffBlock;
-    cmp.bytesCompared = d.bytesCompared;
 }
 
 } // namespace
@@ -134,9 +89,7 @@ SessionPipeline::processChunk(std::size_t count)
     const std::size_t end = start + count;
     const unsigned c = chunkIndex_;
     const std::size_t K = cfg_.altWindowK;
-    // Snapshot point: end-K clamped into the chunk, exactly the batch
-    // runtime's max(begin, end - K).
-    const std::size_t snap = end - start > K ? end - K : start;
+    const std::size_t snap = core::snapshotPoint(start, end, K);
 
     ChunkResult result;
     result.chunkIndex = c;
@@ -254,52 +207,10 @@ SessionPipeline::processChunk(std::size_t count)
         result.aborted = true;
         obs::Span abortSpan = rec.start(obs::SpanKind::Abort, par, sess,
                                         c, istart, icount);
-        if (obs::enabled()) {
-            // Root-cause attribution while every candidate is alive:
-            // where each comparison diverged, and what the abort cost
-            // in §V-B terms (the alt producer is the only mispeculated
-            // work; replicas and compares are extra computation).  The
-            // replica fan-out's wall time is taken out of the
-            // validation span that encloses it, so the two stay
-            // disjoint.
-            obs::AbortReport report;
-            report.session = sess;
-            report.chunk = c;
-            report.firstInput = istart;
-            report.inputCount = icount;
-            report.spanId = abortSpan.id;
-            report.wastedAltSeconds = spanSeconds(altSpan);
-            obs::Span regen; // Wall interval of the replica fan-out.
-            regen.startNs = valSpan.endNs;
-            for (const obs::Span &rs : replicaSpans) {
-                report.wastedReplicaSeconds += spanSeconds(rs);
-                regen.startNs = std::min(regen.startNs, rs.startNs);
-                regen.endNs = std::max(regen.endNs, rs.endNs);
-            }
-            report.validateSeconds =
-                std::max(0.0, spanSeconds(valSpan) - spanSeconds(regen));
-            // Headline: the candidate the byte walk got furthest into
-            // before diverging; ties go to the later candidate so a
-            // replica is named over the committed final.
-            std::uint64_t best = 0;
-            for (int cand = -1; cand < static_cast<int>(replicas.size());
-                 ++cand) {
-                obs::AbortComparison cmp;
-                cmp.candidate = cand;
-                fillPayloadDiff(*working,
-                                cand < 0 ? *committedFinal_
-                                         : *replicas[cand],
-                                cmp);
-                report.bytesCompared += cmp.bytesCompared;
-                if (cand < 0 || cmp.bytesCompared >= best) {
-                    best = cmp.bytesCompared;
-                    report.mismatchCandidate = cand;
-                    report.firstDiffBlock = cmp.firstDiffBlock;
-                }
-                report.comparisons.push_back(cmp);
-            }
-            obs::AbortLog::global().record(std::move(report));
-        }
+        // Root-cause attribution while every candidate is alive: the
+        // alt producer is the only mispeculated work.
+        core::recordAbort(abortSpan, *working, *committedFinal_, replicas,
+                          valSpan, replicaSpans, altSpan);
         const std::uint64_t reParent = abortSpan.id ? abortSpan.id : par;
         obs::Span reSpan = rec.start(obs::SpanKind::ReExec, reParent,
                                      sess, c, istart, icount);

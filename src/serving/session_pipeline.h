@@ -18,18 +18,19 @@
  * abort, without ever running the speculative body — the chunk
  * re-executes from the committed state.
  *
- * Determinism contract: every RNG stream is derived exactly as the
- * batch runtime derives it (the ids of core/rng_streams.h: body
- * body(c), alt producer alt(c), replica replica(c-1, rep),
- * re-execution reexec(c)), and the commit check compares against the
- * committed final state first and then, only if that missed, each
- * replica in order.  Therefore, for a fixed (model, seed) and a fixed
- * *closure trace* (the sequence of chunk sizes), the outputs, commit
- * decisions, and abort count are a pure function of that trace —
- * independent of wall-clock timing, of which closure mechanism (size,
- * deadline, drain, manual) produced each boundary, and of how many
- * sessions share the pool.  When the trace matches the batch
- * runtime's boundaries (inputs split n*c/C) the outputs are
+ * Determinism contract: the update loop and the snapshot point are the
+ * batch runtime's own (core/protocol_steps.h), every RNG stream is
+ * derived exactly as the batch runtime derives it (the ids of
+ * core/rng_streams.h: body body(c), alt producer alt(c), replica
+ * replica(c-1, rep), re-execution reexec(c)), and the commit check
+ * compares against the committed final state first and then, only if
+ * that missed, each replica in order.  Therefore, for a fixed (model,
+ * seed) and a fixed *closure trace* (the sequence of chunk sizes), the
+ * outputs, commit decisions, and abort count are a pure function of
+ * that trace — independent of wall-clock timing, of which closure
+ * mechanism (size, deadline, drain, manual) produced each boundary,
+ * and of how many sessions share the pool.  When the trace matches the
+ * batch runtime's boundaries (inputs split n*c/C) the outputs are
  * bit-identical to NativeRuntime::run for the same (model, config,
  * seed), across both commit protocols and both StateVersioning modes
  * — the oracle tests in tests/serving pin this.
@@ -45,8 +46,9 @@
  *    streams whenever that snapshot failed to commit, so the surviving
  *    replica states are identical);
  *  - replicas regenerate only when the committed final state does not
- *    match (batch regenerates every boundary's replicas up front; an
- *    unread replica feeds nothing, so skipping it is unobservable);
+ *    match — as in the batch barrier schedule; the batch pipelined
+ *    schedule also grows them eagerly, but an unread replica feeds
+ *    nothing, so skipping it is unobservable;
  *  - the commit check runs before the chunk body, which then runs from
  *    the checked entry state itself instead of a clone of it; an
  *    aborting chunk skips its speculative body (whose outputs batch

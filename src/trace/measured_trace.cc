@@ -1,7 +1,6 @@
 #include "trace/measured_trace.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "util/log.h"
 
@@ -16,59 +15,12 @@ MeasuredTrace::makespanUs() const
     return makespan;
 }
 
-/** Accumulates worker-side pool activity (ThreadPool profiler). */
-class MeasuredTraceRecorder::PoolProbe : public util::ThreadPool::Profiler
-{
-  public:
-    void
-    onTaskBegin(unsigned, util::ThreadPool::Clock::time_point) override
-    {
-    }
-
-    void
-    onTaskEnd(unsigned, util::ThreadPool::Clock::time_point start,
-              util::ThreadPool::Clock::time_point end) override
-    {
-        tasks_.fetch_add(1, std::memory_order_relaxed);
-        busyNanos_.fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    end - start)
-                    .count()),
-            std::memory_order_relaxed);
-    }
-
-    std::uint64_t tasks() const
-    {
-        return tasks_.load(std::memory_order_relaxed);
-    }
-
-    double busySeconds() const
-    {
-        return static_cast<double>(
-                   busyNanos_.load(std::memory_order_relaxed)) *
-               1e-9;
-    }
-
-  private:
-    std::atomic<std::uint64_t> tasks_{0};
-    std::atomic<std::uint64_t> busyNanos_{0};
-};
-
-MeasuredTraceRecorder::MeasuredTraceRecorder()
-    : origin_(std::chrono::steady_clock::now()),
-      probe_(std::make_shared<PoolProbe>())
-{
-}
-
-MeasuredTraceRecorder::~MeasuredTraceRecorder() = default;
+MeasuredTraceRecorder::MeasuredTraceRecorder() : origin_(Clock::now()) {}
 
 double
-MeasuredTraceRecorder::nowUs() const
+MeasuredTraceRecorder::sinceOriginUs(Clock::time_point at) const
 {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - origin_)
-        .count();
+    return std::chrono::duration<double, std::micro>(at - origin_).count();
 }
 
 unsigned
@@ -83,9 +35,9 @@ MeasuredTraceRecorder::laneOfCallingThread()
 
 TaskId
 MeasuredTraceRecorder::begin(TaskKind kind, ThreadId thread,
-                             std::int32_t chunk)
+                             std::int32_t chunk, Clock::time_point at)
 {
-    const double start = nowUs();
+    const double start = sinceOriginUs(at);
     std::lock_guard<std::mutex> lock(mutex_);
     Record rec;
     rec.kind = kind;
@@ -98,9 +50,9 @@ MeasuredTraceRecorder::begin(TaskKind kind, ThreadId thread,
 }
 
 void
-MeasuredTraceRecorder::end(TaskId id)
+MeasuredTraceRecorder::end(TaskId id, Clock::time_point at)
 {
-    const double finish = nowUs();
+    const double finish = sinceOriginUs(at);
     std::lock_guard<std::mutex> lock(mutex_);
     REPRO_ASSERT(id < records_.size(), "end() of an unknown task");
     Record &rec = records_[id];
@@ -113,7 +65,7 @@ TaskId
 MeasuredTraceRecorder::addMeasured(TaskKind kind, ThreadId thread,
                                    double duration_us, std::int32_t chunk)
 {
-    const double finish = nowUs();
+    const double finish = sinceOriginUs(Clock::now());
     std::lock_guard<std::mutex> lock(mutex_);
     Record rec;
     rec.kind = kind;
@@ -172,16 +124,8 @@ MeasuredTraceRecorder::finish()
     for (const auto &[before, after] : deps_)
         trace.graph.addDep(before, after);
     trace.laneCount = static_cast<unsigned>(lanes_.size());
-    trace.wallSeconds = nowUs() * 1e-6;
-    trace.poolTasks = probe_->tasks();
-    trace.poolBusySeconds = probe_->busySeconds();
+    trace.wallSeconds = sinceOriginUs(Clock::now()) * 1e-6;
     return trace;
-}
-
-std::shared_ptr<util::ThreadPool::Profiler>
-MeasuredTraceRecorder::poolProfiler()
-{
-    return probe_;
 }
 
 } // namespace repro::trace

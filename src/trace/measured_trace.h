@@ -7,7 +7,9 @@
  * protocol with real threads.  This module makes that real execution
  * observable the way the paper instruments STATS binaries (§V-B):
  * the runtime brackets every unit of scheduled work with
- * MeasuredTraceRecorder::begin/end, and the recorder emits a regular
+ * MeasuredTraceRecorder::begin/end (through core::StepScope, which
+ * hands the same two timestamps to the step's span and phase
+ * histogram), and the recorder emits a regular
  * trace::TaskGraph whose task costs are measured steady-clock
  * durations (in microseconds) and whose dependency edges mirror the
  * commit protocol.  The existing analysis stack — critical-path
@@ -40,14 +42,12 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "trace/task_graph.h"
-#include "util/thread_pool.h"
 
 namespace repro::trace {
 
@@ -73,11 +73,6 @@ struct MeasuredTrace
 
     double wallSeconds = 0.0; //!< Recording span (start to finish()).
 
-    /** Pool-level occupancy observed through the ThreadPool profiler
-     *  hooks while this trace recorded (worker-dequeued tasks only). */
-    std::uint64_t poolTasks = 0;
-    double poolBusySeconds = 0.0;
-
     /** Latest task end timestamp (the measured makespan), in us. */
     double makespanUs() const;
 };
@@ -86,18 +81,19 @@ struct MeasuredTrace
  * Thread-safe recorder of measured tasks.
  *
  * Producers bracket each unit of work with begin()/end() from the
- * thread that executes it; the recorder captures steady-clock
- * timestamps and the executing OS thread.  Task ids are handed out in
- * real-time begin order, so every dependency — implicit program order
- * within a logical thread, or explicit addDep — points from a lower
- * to a higher id.  finish() freezes the recording into a
- * MeasuredTrace.
+ * thread that executes it; the recorder keeps the steady-clock
+ * timestamps the caller passes (now, by default) and the executing
+ * OS thread.  Task ids are handed out in begin-call order, so every
+ * dependency — implicit program order within a logical thread, or
+ * explicit addDep — points from a lower to a higher id.  finish()
+ * freezes the recording into a MeasuredTrace.
  */
 class MeasuredTraceRecorder
 {
   public:
+    using Clock = std::chrono::steady_clock;
+
     MeasuredTraceRecorder();
-    ~MeasuredTraceRecorder();
 
     MeasuredTraceRecorder(const MeasuredTraceRecorder &) = delete;
     MeasuredTraceRecorder &operator=(const MeasuredTraceRecorder &) = delete;
@@ -107,13 +103,15 @@ class MeasuredTraceRecorder
      * @param thread Logical software thread (same meaning as
      *        Task::thread); consecutive begins on one logical thread
      *        get implicit program-order edges in the final graph.
+     * @param at When the task started (the caller's clock read).
      */
     TaskId begin(TaskKind kind, ThreadId thread,
-                 std::int32_t chunk = kNoChunk);
+                 std::int32_t chunk = kNoChunk,
+                 Clock::time_point at = Clock::now());
 
-    /** Ends task @p id, timestamping now.  Must be called once per
-     *  begin, from any thread, before finish(). */
-    void end(TaskId id);
+    /** Ends task @p id at @p at.  Must be called once per begin, from
+     *  any thread, before finish(). */
+    void end(TaskId id, Clock::time_point at = Clock::now());
 
     /**
      * Records a task whose duration was timed externally and that
@@ -148,15 +146,6 @@ class MeasuredTraceRecorder
      */
     MeasuredTrace finish();
 
-    /**
-     * Profiler to install on a util::ThreadPool while this recording
-     * runs; it accumulates worker-side task count and busy time into
-     * the trace (MeasuredTrace::poolTasks/poolBusySeconds).  The
-     * returned object is owned jointly with the pool, so callbacks
-     * that race an uninstall stay safe.
-     */
-    std::shared_ptr<util::ThreadPool::Profiler> poolProfiler();
-
   private:
     struct Record
     {
@@ -169,17 +158,14 @@ class MeasuredTraceRecorder
         bool ended = false;
     };
 
-    class PoolProbe;
-
-    double nowUs() const;
+    double sinceOriginUs(Clock::time_point at) const;
     unsigned laneOfCallingThread(); //!< Requires mutex_ held.
 
     mutable std::mutex mutex_;
-    std::chrono::steady_clock::time_point origin_;
+    Clock::time_point origin_;
     std::vector<Record> records_;
     std::vector<std::pair<TaskId, TaskId>> deps_;
     std::map<std::thread::id, unsigned> lanes_;
-    std::shared_ptr<PoolProbe> probe_;
 };
 
 } // namespace repro::trace

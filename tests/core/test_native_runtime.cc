@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -290,6 +291,87 @@ TEST(NativeRuntime, RecordedKindsMatchProtocolWhenAllCommit)
         // Every measured task carries a real (non-negative) duration.
         for (const auto &t : mt.graph.tasks())
             EXPECT_GE(t.work, 0.0);
+    }
+}
+
+TEST(NativeRuntime, StepSinksShareOneClockPair)
+{
+    // Each timed step reads the clock once at each end and hands the
+    // same pair to its span, its phase histogram, and its recorded
+    // task, so the three agree: every span lasts exactly as long as
+    // the task it times, and each histogram's interval sums exactly
+    // the spans of its kind.  Same all-commit config as above.
+    EmaModel::Config mc;
+    mc.inputs = 128;
+    mc.alpha = 0.5;
+    mc.tolerance = 0.1;
+    const EmaModel model(mc);
+    using repro::obs::SpanKind;
+    using repro::obs::SpanRecorder;
+    struct Step
+    {
+        SpanKind span;
+        TaskKind task;
+        const char *hist;
+    };
+    const Step steps[] = {
+        {SpanKind::AltProducer, TaskKind::AltProducer, "alt_producer"},
+        {SpanKind::ChunkBody, TaskKind::ChunkBody, "chunk_body"},
+        {SpanKind::ReplicaRegen, TaskKind::OriginalStateGen,
+         "replica_gen"},
+    };
+    auto &reg = repro::metrics::MetricsRegistry::global();
+    for (const auto protocol :
+         {CommitProtocol::Barrier, CommitProtocol::Pipelined}) {
+        const std::string name = commitProtocolName(protocol);
+        const NativeRuntime native(4, protocol);
+        const auto before = reg.snapshot();
+        SpanRecorder::global().clear();
+        MeasuredTraceRecorder rec;
+        const auto result = native.run(model, cfg(8, 8, 3), 17, &rec);
+        ASSERT_EQ(result.aborts, 0u) << name;
+        const auto spans = SpanRecorder::global().snapshot();
+        const auto delta =
+            repro::metrics::snapshotDiff(before, reg.snapshot());
+        const MeasuredTrace mt = rec.finish();
+        ASSERT_EQ(spans.dropped, 0u);
+
+        for (const Step &step : steps) {
+            // Durations in ns per chunk, spans and tasks alike, sorted
+            // so the two body halves of a chunk and the replicas of a
+            // boundary pair up however they interleaved.
+            std::map<std::int64_t, std::vector<double>> spanNs, taskNs;
+            std::size_t count = 0;
+            double seconds = 0.0;
+            for (const auto &s : spans.spans) {
+                if (s.kind != step.span || s.session != 0)
+                    continue;
+                const auto ns = static_cast<double>(s.endNs - s.startNs);
+                spanNs[s.chunk].push_back(ns);
+                ++count;
+                seconds += ns * 1e-9;
+            }
+            for (const auto &t : mt.graph.tasks())
+                if (t.kind == step.task)
+                    taskNs[t.chunk].push_back(t.work * 1e3);
+            ASSERT_EQ(spanNs.size(), taskNs.size())
+                << name << " " << step.hist;
+            for (auto &[chunk, durations] : spanNs) {
+                std::vector<double> &recorded = taskNs[chunk];
+                std::sort(durations.begin(), durations.end());
+                std::sort(recorded.begin(), recorded.end());
+                ASSERT_EQ(durations.size(), recorded.size())
+                    << name << " " << step.hist << " chunk " << chunk;
+                for (std::size_t i = 0; i < durations.size(); ++i)
+                    EXPECT_NEAR(durations[i], recorded[i], 1.0)
+                        << name << " " << step.hist << " chunk " << chunk;
+            }
+            const auto hist = delta.histogramValue(
+                "runtime." + name + "." + step.hist + "_seconds");
+            EXPECT_EQ(hist.count, count) << name << " " << step.hist;
+            EXPECT_NEAR(hist.sumSeconds, seconds, 1e-9)
+                << name << " " << step.hist;
+        }
     }
 }
 

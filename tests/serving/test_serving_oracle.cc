@@ -17,14 +17,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/ema_model.h"
 #include "core/native_runtime.h"
 #include "core/versioned_state.h"
 #include "metrics/metrics.h"
+#include "obs/abort_report.h"
 #include "serving/serving_runtime.h"
 #include "serving/session_pipeline.h"
 #include "util/thread_pool.h"
@@ -39,6 +43,8 @@ using repro::core::NativeRuntime;
 using repro::core::ScopedStateVersioning;
 using repro::core::StateVersioning;
 using repro::core::StatsConfig;
+using repro::obs::AbortLog;
+using repro::obs::AbortReport;
 using repro::serving::ResultChunk;
 using repro::serving::ServingOptions;
 using repro::serving::ServingRuntime;
@@ -189,6 +195,66 @@ TEST(ServingOracle, PipelineMatchesBatchOnBlockStateWorkload)
          {CommitProtocol::Barrier, CommitProtocol::Pipelined})
         expectPipelineMatchesBatch(workload->model(), config, 33,
                                    protocol);
+}
+
+/** The non-timing fields of every retained abort report, one line
+ *  per report in log order. */
+std::string
+describeAbortReports()
+{
+    std::ostringstream out;
+    for (const AbortReport &r : AbortLog::global().recent()) {
+        out << "chunk " << r.chunk << " inputs " << r.firstInput << "+"
+            << r.inputCount << " headline " << r.mismatchCandidate
+            << " block " << r.firstDiffBlock << " bytes "
+            << r.bytesCompared << " |";
+        for (const auto &cmp : r.comparisons)
+            out << " " << cmp.candidate << (cmp.matched ? "=" : "!")
+                << cmp.firstDiffBlock << "/" << cmp.bytesCompared;
+        out << "\n";
+    }
+    return out.str();
+}
+
+TEST(ServingOracle, AbortReportsMatchBatch)
+{
+    // Both batch schedules and a session fed the batch closure trace
+    // attribute each abort the same way: same chunk and inputs, same
+    // comparisons in check order with the same divergence block and
+    // bytes walked, same headline.  facetrack under CopyOnWrite has
+    // block-backed state, so the block fields are real; seeds 3, 8
+    // and 20 each abort twice at C=8, K=16, R=2.
+    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
+    const auto workload = repro::workloads::makeWorkload("facetrack", 1.0);
+    const IStateModel &model = workload->model();
+    const auto config = cfg(8, 16, 2);
+    SessionPipeline::Config pc;
+    pc.altWindowK = config.altWindowK;
+    pc.numOriginalStates = config.numOriginalStates;
+    for (const std::uint64_t seed : {3u, 8u, 20u}) {
+        std::vector<std::string> reports;
+        for (const auto protocol :
+             {CommitProtocol::Barrier, CommitProtocol::Pipelined}) {
+            AbortLog::global().clear();
+            NativeRuntime(4, protocol).run(model, config, seed);
+            reports.push_back(describeAbortReports());
+        }
+        AbortLog::global().clear();
+        SessionPipeline pipeline(model, pc, seed,
+                                 &repro::util::ThreadPool::global());
+        for (const std::size_t size :
+             batchChunkSizes(model.numInputs(), config.numChunks))
+            pipeline.processChunk(size);
+        ASSERT_EQ(pipeline.aborts(), 2u) << "seed " << seed;
+        reports.push_back(describeAbortReports());
+
+        EXPECT_EQ(std::count(reports[0].begin(), reports[0].end(), '\n'),
+                  2)
+            << "seed " << seed;
+        EXPECT_EQ(reports[1], reports[0]) << "pipelined, seed " << seed;
+        EXPECT_EQ(reports[2], reports[0]) << "session, seed " << seed;
+    }
+    AbortLog::global().clear();
 }
 
 TEST(ServingOracle, EndToEndServingMatchesBatch)

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -151,30 +150,6 @@ TEST(MeasuredTrace, IdsAreMonotonicUnderConcurrentBegins)
     }
     EXPECT_GE(mt.laneCount, 1u);
     EXPECT_LE(mt.laneCount, 5u); // 4 workers + the caller.
-}
-
-TEST(MeasuredTrace, PoolProfilerAccountsWorkerTasks)
-{
-    MeasuredTraceRecorder rec;
-    {
-        repro::util::ThreadPool pool(2);
-        const auto prev = pool.setProfiler(rec.poolProfiler());
-        std::vector<std::future<void>> futures;
-        for (int i = 0; i < 8; ++i) {
-            futures.push_back(
-                pool.submit([] { spin(std::chrono::microseconds(50)); }));
-        }
-        for (auto &f : futures)
-            f.get();
-        pool.setProfiler(prev);
-        // A task's future is ready before its worker reports
-        // onTaskEnd; joining the workers (pool destruction) orders
-        // every report before the recorder is read.
-    }
-
-    const MeasuredTrace mt = rec.finish();
-    EXPECT_EQ(mt.poolTasks, 8u);
-    EXPECT_GT(mt.poolBusySeconds, 0.0);
 }
 
 TEST(MeasuredSchedule, MapsTimestampsLanesAndWaits)

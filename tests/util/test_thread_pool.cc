@@ -261,48 +261,6 @@ TEST(ThreadPool, StopIsIdempotentAndDegradesGracefully)
     EXPECT_EQ(hits.load(), 100);
 }
 
-TEST(ThreadPool, ProfilerObservesWorkerTasks)
-{
-    struct CountingProfiler : ThreadPool::Profiler
-    {
-        std::atomic<int> begins{0};
-        std::atomic<int> ends{0};
-        std::atomic<bool> ordered{true};
-        void
-        onTaskBegin(unsigned, ThreadPool::Clock::time_point) override
-        {
-            ++begins;
-        }
-        void
-        onTaskEnd(unsigned, ThreadPool::Clock::time_point start,
-                  ThreadPool::Clock::time_point end) override
-        {
-            if (end < start)
-                ordered = false;
-            ++ends;
-        }
-    };
-
-    ThreadPool pool(1); // One worker: every submitted task is observed.
-    auto prof = std::make_shared<CountingProfiler>();
-    EXPECT_EQ(pool.setProfiler(prof), nullptr);
-
-    constexpr int kTasks = 8;
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < kTasks; ++i)
-        futures.push_back(pool.submit([] {}));
-    for (auto &f : futures)
-        f.get();
-
-    // Uninstall and make sure no further callbacks arrive.
-    EXPECT_EQ(pool.setProfiler(nullptr), prof);
-    pool.submit([] {}).get();
-
-    EXPECT_EQ(prof->begins.load(), kTasks);
-    EXPECT_EQ(prof->ends.load(), kTasks);
-    EXPECT_TRUE(prof->ordered.load());
-}
-
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 {
     // A parallelFor issued from inside a pool task must complete even
