@@ -635,9 +635,12 @@ class RunImpl
             // Root-cause attribution while every candidate is still
             // alive; the speculated body and alt producer were
             // mispeculation.
-            recordAbort(abortSpan, *nxt.specState, *committedFinal_,
-                        bp.replicas, valSpan, bp.replicaSpans, nxt.altSpan,
-                        {nxt.bodySpanA, nxt.bodySpanB});
+            if (abortSpan.id != 0)
+                fileAbort(attributeAbort(*nxt.specState, *committedFinal_,
+                                         bp.replicas, valSpan,
+                                         bp.replicaSpans, nxt.altSpan,
+                                         {nxt.bodySpanA, nxt.bodySpanB}),
+                          abortSpan);
             obs::Span reSpan =
                 startChunkSpan(obs::SpanKind::ReExec, abortSpan.id, c + 1);
             reexecuteChunk(c);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/abort_report.h"
-
 namespace repro::core {
 
 namespace {
@@ -52,22 +50,14 @@ runSpan(const IStateModel &model, State &state, std::size_t from,
     rng = ctx.rng();
 }
 
-void
-recordAbort(const obs::Span &abort, const State &spec,
-            const State &committed, const std::vector<StateHandle> &replicas,
-            const obs::Span &validation,
-            const std::vector<obs::Span> &replica_spans,
-            const obs::Span &alt, std::initializer_list<obs::Span> bodies)
+obs::AbortReport
+attributeAbort(const State &spec, const State &committed,
+               const std::vector<StateHandle> &replicas,
+               const obs::Span &validation,
+               const std::vector<obs::Span> &replica_spans,
+               const obs::Span &alt, std::initializer_list<obs::Span> bodies)
 {
-    if (abort.id == 0)
-        return;
     obs::AbortReport report;
-    report.session = abort.session;
-    report.chunk = abort.chunk;
-    report.firstInput = abort.firstInput;
-    report.inputCount = abort.inputCount;
-    report.spanId = abort.id;
-
     for (const obs::Span &body : bodies)
         report.wastedBodySeconds += spanSeconds(body);
     report.wastedAltSeconds = spanSeconds(alt);
@@ -96,6 +86,19 @@ recordAbort(const obs::Span &abort, const State &spec,
             report.firstDiffBlock = cmp.firstDiffBlock;
         }
     }
+    return report;
+}
+
+void
+fileAbort(obs::AbortReport report, const obs::Span &abort)
+{
+    if (abort.id == 0)
+        return;
+    report.session = abort.session;
+    report.chunk = abort.chunk;
+    report.firstInput = abort.firstInput;
+    report.inputCount = abort.inputCount;
+    report.spanId = abort.id;
     obs::AbortLog::global().record(std::move(report));
 }
 

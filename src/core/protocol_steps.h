@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/state_model.h"
+#include "obs/abort_report.h"
 #include "obs/span.h"
 #include "util/rng.h"
 
@@ -44,11 +45,11 @@ snapshotPoint(std::size_t begin, std::size_t end, std::size_t K)
 }
 
 /**
- * Records the root-cause report of one aborted boundary in
- * obs::AbortLog::global(); an untraced abort (span id 0) records
- * nothing.  Call it while every candidate is still alive.
+ * Attributes one aborted boundary: the first half of its root-cause
+ * report.  Call it at the commit check, while every candidate is
+ * still alive; fileAbort() records the result once the aborted chunk
+ * is known in full.
  *
- * The report takes its session, chunk, and input range from @p abort.
  * Comparisons are listed in check order — @p committed first, then
  * @p replicas — with the block where @p spec diverged from each.  The
  * headline is the candidate the byte walk got furthest into, ties
@@ -57,15 +58,23 @@ snapshotPoint(std::size_t begin, std::size_t end, std::size_t K)
  * @p bodies are mispeculation, @p replica_spans and the compares
  * extra computation; the wall interval of the replica fan-out that
  * @p validation encloses (replica spans parented on it) is taken out
- * of the validation time, so the two terms stay disjoint.
+ * of the validation time, so the two terms stay disjoint.  The
+ * report's identity fields are left for fileAbort().
  */
-void recordAbort(const obs::Span &abort, const State &spec,
-                 const State &committed,
-                 const std::vector<StateHandle> &replicas,
-                 const obs::Span &validation,
-                 const std::vector<obs::Span> &replica_spans,
-                 const obs::Span &alt,
-                 std::initializer_list<obs::Span> bodies = {});
+obs::AbortReport attributeAbort(const State &spec, const State &committed,
+                                const std::vector<StateHandle> &replicas,
+                                const obs::Span &validation,
+                                const std::vector<obs::Span> &replica_spans,
+                                const obs::Span &alt,
+                                std::initializer_list<obs::Span> bodies = {});
+
+/**
+ * Records @p report in obs::AbortLog::global(), taking its session,
+ * chunk, input range and span id from @p abort — the second half of
+ * the root-cause report.  An untraced abort (span id 0) records
+ * nothing, so callers attribute only traced aborts.
+ */
+void fileAbort(obs::AbortReport report, const obs::Span &abort);
 
 } // namespace repro::core
 

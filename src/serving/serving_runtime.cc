@@ -153,8 +153,13 @@ struct Session
 
     std::mutex consumerMu;
     std::vector<InputToken> open;   //!< Queued tokens, oldest first.
+    /** Open inputs the strand has advanced the pipeline over (0: the
+     *  open chunk has not begun). */
+    std::size_t openAdvanced = 0;
     std::deque<ClosedChunk> closed; //!< Closed, awaiting the strand.
-    SessionTuning active;           //!< Knobs of the open chunk.
+    /** Knobs of the open chunk — frozen from its first input to its
+     *  closure (a retune lands only while the open chunk is empty). */
+    SessionTuning active;
     SessionTuning pending;          //!< Requested knobs, if any.
     bool hasPending = false;        //!< Guarded by consumerMu.
     std::atomic<std::uint64_t> chunksClosed{0};
@@ -239,6 +244,7 @@ closeOpen(Session &s, bool deadline, bool drainClose)
     chunk.pipelineCfg.altWindowK = s.active.altWindowK;
     chunk.pipelineCfg.numOriginalStates = s.active.numOriginalStates;
     s.open.clear();
+    s.openAdvanced = 0;
     const std::uint64_t chunkIndex =
         s.chunksClosed.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) {
@@ -286,9 +292,33 @@ closeOpen(Session &s, bool deadline, bool drainClose)
     applyPendingLocked(s);
 }
 
-/** The strand body: processes closed chunks in order until the queue
- *  is empty, then retires.  Touches only the session and immortal
- *  globals; reschedules itself through the global pool. */
+/** Open inputs the strand can act on now, or 0: the first input
+ *  begins the chunk, and after that only growth beyond the K inputs
+ *  the body holds back lets it run further.  A draining session's
+ *  open chunk is left to its closure (drain closes it at once; a
+ *  shutdown drops it).  Caller holds consumerMu. */
+std::size_t
+openProgressLocked(const Session &s)
+{
+    const std::size_t n = s.open.size();
+    if (n <= s.openAdvanced ||
+        (s.openAdvanced > 0 && n <= s.active.altWindowK) ||
+        s.draining.load(std::memory_order_acquire))
+        return 0;
+    return n;
+}
+
+/** Whether the strand has anything to do.  Caller holds consumerMu. */
+bool
+hasWorkLocked(const Session &s)
+{
+    return !s.closed.empty() || openProgressLocked(s) > 0;
+}
+
+/** The strand body: processes closed chunks in order and advances the
+ *  open chunk between them until neither has work, then retires.
+ *  Touches only the session and immortal globals; reschedules itself
+ *  through the global pool. */
 void strandLoop(const std::shared_ptr<Session> &s);
 
 void
@@ -296,7 +326,7 @@ scheduleStrandIfWork(const std::shared_ptr<Session> &s)
 {
     {
         const std::lock_guard<std::mutex> lock(s->consumerMu);
-        if (s->closed.empty())
+        if (!hasWorkLocked(*s))
             return;
     }
     if (s->strandActive.exchange(true, std::memory_order_acq_rel))
@@ -305,47 +335,69 @@ scheduleStrandIfWork(const std::shared_ptr<Session> &s)
     util::ThreadPool::global().detach([keep] { strandLoop(keep); });
 }
 
+/** Swaps in the knobs a chunk runs under.  Only before the pipeline
+ *  begins the chunk: a begun chunk's knobs were frozen at its first
+ *  input, so they already match (reconfigure() asserts it). */
+void
+enterChunkConfig(Session &s, const SessionPipeline::Config &cfg)
+{
+    const SessionPipeline::Config &cur = s.pipeline.config();
+    if (cfg.altWindowK != cur.altWindowK ||
+        cfg.numOriginalStates != cur.numOriginalStates)
+        s.pipeline.reconfigure(cfg);
+}
+
 void
 strandLoop(const std::shared_ptr<Session> &s)
 {
     auto &m = servingMetrics();
     for (;;) {
+        // The closed chunk to finish, or — queued > 0 — the knobs of
+        // the open chunk to advance.
         Session::ClosedChunk chunk;
-        bool have = false;
+        std::size_t queued = 0;
         {
+            // "Nothing closed" and the open size are read under one
+            // hold: a chunk closing in between must be processed
+            // before the next one is advanced.
             const std::lock_guard<std::mutex> lock(s->consumerMu);
             if (!s->closed.empty()) {
                 chunk = std::move(s->closed.front());
                 s->closed.pop_front();
-                have = true;
+            } else if ((queued = openProgressLocked(*s)) > 0) {
+                s->openAdvanced = queued;
+                chunk.pipelineCfg.altWindowK = s->active.altWindowK;
+                chunk.pipelineCfg.numOriginalStates =
+                    s->active.numOriginalStates;
+            } else {
+                break;
             }
         }
-        if (!have)
-            break;
 
-        // Between chunks by construction (the strand is the only
-        // processChunk caller and runs them one at a time): swap in
-        // the knobs this chunk was closed under.
-        const SessionPipeline::Config &cur = s->pipeline.config();
-        if (chunk.pipelineCfg.altWindowK != cur.altWindowK ||
-            chunk.pipelineCfg.numOriginalStates !=
-                cur.numOriginalStates)
-            s->pipeline.reconfigure(chunk.pipelineCfg);
-
+        // A closed chunk runs under the knobs it was closed under, an
+        // open one under those of its first input — the same ones, if
+        // the strand began the chunk before it closed.
+        const bool advancing = queued > 0;
+        enterChunkConfig(*s, chunk.pipelineCfg);
+        // An early activation has no closure to hang off yet.
         core::StepScope process(
             &m.chunkProcess, {},
-            obs::Span{
-                .parent = chunk.closeSpan,
-                .session = s->id,
-                .chunk = static_cast<std::int64_t>(
-                    s->chunksProcessed.load(std::memory_order_relaxed)),
-                .firstInput = chunk.tokens.empty()
-                                  ? -1
-                                  : static_cast<std::int64_t>(
-                                        chunk.tokens.front().index),
-                .inputCount = static_cast<std::uint32_t>(chunk.tokens.size()),
-                .kind = obs::SpanKind::ChunkProcess});
+            obs::Span{.parent = chunk.closeSpan,
+                      .session = s->id,
+                      .chunk = static_cast<std::int64_t>(
+                          s->chunksProcessed.load(std::memory_order_relaxed)),
+                      .firstInput = static_cast<std::int64_t>(
+                          s->pipeline.nextInput()),
+                      .inputCount = static_cast<std::uint32_t>(
+                          advancing ? queued : chunk.tokens.size()),
+                      .kind = obs::SpanKind::ChunkProcess});
         s->pipeline.setTraceContext(s->id, process.spanId());
+        if (advancing) {
+            // Begin the open chunk at its first input; run its body up
+            // to the K inputs it holds back.
+            s->pipeline.advance(queued);
+            continue;
+        }
         const SessionPipeline::ChunkResult result =
             s->pipeline.processChunk(chunk.tokens.size());
         process.finish();
@@ -392,8 +444,9 @@ strandLoop(const std::shared_ptr<Session> &s)
     scheduleStrandIfWork(s);
 }
 
-/** Blocks until the session has no closed chunk pending and no strand
- *  task in flight. */
+/** Blocks until the strand has no work left — no closed chunk pending
+ *  and no open-chunk growth to advance over — and no strand task in
+ *  flight. */
 void
 waitIdle(Session &s)
 {
@@ -402,7 +455,7 @@ waitIdle(Session &s)
         if (s.strandActive.load(std::memory_order_acquire))
             return false;
         const std::lock_guard<std::mutex> consumer(s.consumerMu);
-        return s.closed.empty();
+        return !hasWorkLocked(s);
     });
 }
 

@@ -25,12 +25,23 @@
  *     sessions therefore still make progress and per-input p99
  *     latency is bounded by budget + processing time, not by how long
  *     the stream takes to fill a chunk.
- *  3. A closed chunk is appended to the session's strand queue and a
- *     strand task is scheduled on the pool (at most one per session
+ *     The open chunk's K and R are frozen at its first input: a
+ *     retune lands only while the open chunk is empty.
+ *  3. A strand task is scheduled on the pool (at most one per session
  *     in flight, so the pipeline sees chunks strictly in order while
- *     different sessions run genuinely in parallel).  The strand runs
- *     the STATS protocol for the chunk and delivers the committed
- *     outputs to the session's result callback.
+ *     different sessions run genuinely in parallel) whenever a chunk
+ *     closes or the open chunk grows.  The strand works through the
+ *     closed chunks first, in order: for each it finishes the STATS
+ *     protocol (SessionPipeline::processChunk) and delivers the
+ *     committed outputs to the session's result callback.  With none
+ *     left — read under the same lock as the open chunk's size, so a
+ *     chunk that closes in between is never overtaken — it advances
+ *     the open chunk (SessionPipeline::advance): the first input
+ *     begins it (alt producer, commit check, replicas on a miss) and
+ *     each later one lets the body run on, holding back the last K
+ *     inputs.  So only the tail is left for the closure: the last K
+ *     inputs, the snapshot and the commit.  Each strand activation —
+ *     one advance or one processChunk — is one chunk_process step.
  *
  * Lifecycle: admit() -> submit()/results -> drain() (stop intake,
  * close the partial chunk, finish in-flight work, flush results) ->
@@ -51,7 +62,8 @@
  * closures by cause (size / deadline / drain), commits/aborts and
  * delivered outputs counters; end-to-end latency (submit -> result
  * delivery), queue depth at closure (unit: inputs, not seconds), and
- * per-chunk processing-time histograms.
+ * strand processing time per activation (serving.chunk_process_seconds
+ * — its sum per chunk is the strand's busy time for that chunk).
  */
 
 #ifndef REPRO_SERVING_SERVING_RUNTIME_H
@@ -268,9 +280,10 @@ class ServingRuntime
      * tuning lands when it does.  A second retune before the boundary
      * replaces the pending values (last writer wins).  The chunk-size
      * knob governs size closure of subsequent chunks; altWindowK and
-     * numOriginalStates ride along with each closed chunk so the
-     * strand reconfigures the pipeline for exactly the chunks closed
-     * under them — the protocol never sees a mid-chunk change.
+     * numOriginalStates ride along with each chunk from its first
+     * input, so the strand reconfigures the pipeline — only before it
+     * begins a chunk — for exactly the chunks opened under them: the
+     * protocol never sees a mid-chunk change.
      * @return false for unknown sessions.
      */
     bool retune(SessionId id, const SessionTuning &tuning);

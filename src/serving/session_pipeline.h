@@ -1,6 +1,7 @@
 /**
  * @file
- * The STATS protocol of one serving session, fed chunk-by-chunk.
+ * The STATS protocol of one serving session, fed chunk-by-chunk as
+ * its inputs arrive.
  *
  * NativeRuntime::run (core/native_runtime.h) executes the protocol in
  * batch: all chunk boundaries are known up front because the whole
@@ -9,14 +10,28 @@
  * size or when its age exceeds the session's latency budget — so the
  * protocol must run *incrementally*.  Because a session's chunks run
  * one at a time, the previous boundary is always committed before the
- * next chunk starts, so the pipeline checks before it speculates: the
- * alternative producer builds the newly closed chunk's entry state,
+ * next chunk's first input arrives, so the pipeline checks before it
+ * speculates: the alternative producer builds the chunk's entry state,
  * the commit check compares it against the committed final state and,
  * only on that miss, regenerates the previous boundary's
  * original-state replicas and compares them in order; then either the
  * chunk body runs from the checked entry state and commits, or — on an
  * abort, without ever running the speculative body — the chunk
  * re-executes from the committed state.
+ *
+ * None of that waits for the chunk to close.  The only thing a
+ * chunk's close decides is its end, and with it the snapshot point
+ * end - K the next boundary's replicas regenerate from.  So the
+ * pipeline runs a chunk in two calls:
+ *  - advance(queued) while the chunk fills: the first call *begins*
+ *    the chunk (alt producer, commit check, replica fan-out on a miss,
+ *    and the choice of entry state and stream); every call runs the
+ *    body (or re-execution) over the inputs up to start + queued - K.
+ *    However many inputs the chunk ends up with, that point never
+ *    passes its snapshot point, so no state is ever rolled back;
+ *  - processChunk(count) at the close: begins the chunk if no advance
+ *    did, runs up to the snapshot point, takes the snapshot, runs to
+ *    the end and commits.  Called alone it runs the whole chunk.
  *
  * Determinism contract: the update loop and the snapshot point are the
  * batch runtime's own (core/protocol_steps.h), every RNG stream is
@@ -53,15 +68,20 @@
  *    the checked entry state itself instead of a clone of it; an
  *    aborting chunk skips its speculative body (whose outputs batch
  *    computes and discards) and re-executes on the committed final
- *    state it replaces instead of on a clone.
+ *    state it replaces instead of on a clone;
+ *  - the body may run in several segments (one per advance() call and
+ *    a last one at the close); the update loop carries its RNG from
+ *    one segment to the next, so the split cannot change an output.
  *
  * Threading: a pipeline instance is single-strand — the serving
- * runtime guarantees at most one processChunk() call is in flight per
- * session.  Replica regeneration inside a call may fan out on the
- * shared ThreadPool when more than one replica is needed (replicas are
- * independent and write disjoint slots; the comparisons that consume
- * them stay sequential), which is the only intra-session parallelism —
- * cross-session parallelism is the serving runtime's job.
+ * runtime guarantees at most one advance() or processChunk() call is
+ * in flight per session, and calls them from whichever pool thread
+ * runs the session's strand.  Replica regeneration inside a call may
+ * fan out on the shared ThreadPool when more than one replica is
+ * needed (replicas are independent and write disjoint slots; the
+ * comparisons that consume them stay sequential), which is the only
+ * intra-session parallelism — cross-session parallelism is the serving
+ * runtime's job.
  */
 
 #ifndef REPRO_SERVING_SESSION_PIPELINE_H
@@ -72,6 +92,8 @@
 #include <vector>
 
 #include "core/state_model.h"
+#include "obs/abort_report.h"
+#include "obs/span.h"
 #include "util/rng.h"
 
 namespace repro::util {
@@ -123,23 +145,45 @@ class SessionPipeline
                     util::ThreadPool *pool = nullptr);
 
     /**
-     * Runs the protocol over the next @p count inputs of the stream
-     * (indices [nextInput(), nextInput() + count)) as one closed
-     * chunk.  @pre count >= 1 and the chunk stays within the model's
-     * input range.
+     * Progresses the open chunk while it fills, given that @p queued
+     * of its inputs (indices [nextInput(), nextInput() + queued)) have
+     * arrived.  The first call for a chunk begins it: alt producer
+     * (chunk > 0), commit check, replica fan-out on a miss, and the
+     * entry state and stream — body(c) from the checked state, or
+     * reexec(c) from the committed final state on an abort.  Every
+     * call runs the body over the inputs up to
+     * nextInput() + queued - K and no further, which no closure can
+     * put past the chunk's snapshot point.  Optional: processChunk()
+     * does whatever no advance() did.
+     * @pre queued >= 1, queued never exceeds the chunk's final count,
+     *      and the inputs stay within the model's input range.
+     */
+    void advance(std::size_t queued);
+
+    /**
+     * Closes the open chunk at @p count inputs (indices
+     * [nextInput(), nextInput() + count)): begins it if no advance()
+     * did, runs up to its snapshot point, takes the snapshot, runs to
+     * its end and commits.  @pre count >= 1, count is at least every
+     * @p queued an advance() of this chunk saw, and the chunk stays
+     * within the model's input range.
      */
     ChunkResult processChunk(std::size_t count);
 
     /**
      * Swaps the STATS parameters at the current chunk boundary: the
-     * next processChunk call runs with @p config.  Must only be called
-     * between processChunk calls (the serving strand guarantees this),
-     * which preserves the determinism contract — every RNG stream is
-     * derived from the chunk *index*, never from K or R, so a run is a
-     * pure function of (model, seed, closure trace, knob trace) and a
-     * recorded knob trace replays bit-identically.
+     * next chunk runs with @p config.  Must only be called before a
+     * chunk begins — between processChunk() and the next chunk's first
+     * advance() (asserted) — which preserves the determinism contract:
+     * every RNG stream is derived from the chunk *index*, never from K
+     * or R, so a run is a pure function of (model, seed, closure trace,
+     * knob trace) and a recorded knob trace replays bit-identically.
      */
     void reconfigure(Config config);
+
+    /** Whether the open chunk has begun (an advance() ran since the
+     *  last processChunk()); its config is then frozen. */
+    bool begun() const { return open_.state != nullptr; }
 
     /** The STATS parameters the next chunk will run with. */
     const Config &config() const { return cfg_; }
@@ -151,11 +195,11 @@ class SessionPipeline
     unsigned chunksProcessed() const { return chunkIndex_; }
 
     /**
-     * Trace identity the next processChunk() call records its spans
-     * under: the serving session id and the strand's chunk-process
-     * span (obs/span_recorder.h).  Zeroes (the default) mean "batch /
-     * untraced caller" — spans still record, as roots.  Purely
-     * observational: never changes outputs.
+     * Trace identity the next advance() or processChunk() call records
+     * its spans under: the serving session id and the strand's
+     * chunk-process span (obs/span_recorder.h).  Zeroes (the default)
+     * mean "batch / untraced caller" — spans still record, as roots.
+     * Purely observational: never changes outputs.
      */
     void
     setTraceContext(std::uint64_t session, std::uint64_t parentSpan)
@@ -171,13 +215,43 @@ class SessionPipeline
     unsigned aborts() const { return aborts_; }
 
     /**
-     * Releases the committed state and snapshot (BlockArena payloads
-     * drop their references).  Called at session eviction; the
-     * pipeline must not process further chunks afterwards.
+     * Releases the committed state and snapshot, and a begun chunk's
+     * working state (BlockArena payloads drop their references).
+     * Called at session eviction or shutdown; the pipeline must not
+     * process further chunks afterwards.
      */
     void releaseState();
 
   private:
+    /** The chunk between its begin and its close. */
+    struct OpenChunk
+    {
+        /** Commit span detail: matched candidate (-1 committed final,
+         *  >= 0 replica), or -2 for an abort. */
+        std::int64_t matched = -1;
+        /** Runs the body / re-execution; null until the chunk begins. */
+        core::StateHandle state;
+        util::Rng rng{};             //!< body(c) or reexec(c), carried.
+        std::size_t ranTo = 0;       //!< Stream index state has reached.
+        std::vector<double> outputs; //!< Of inputs [start, ranTo).
+        /** Abort only: the Abort span, open from the check to the
+         *  close, and the report attributed at the check — both get
+         *  their input count at the close. */
+        obs::Span abort;
+        obs::AbortReport report;
+    };
+
+    /** Begins the open chunk; @p count is its input count when known
+     *  (processChunk), 0 while it still fills. */
+    void begin(std::uint32_t count);
+
+    /** Runs the open chunk's state on to stream index @p to. */
+    void runTo(std::size_t to);
+
+    /** Opens the span of one body / re-execution segment ending at
+     *  @p to. */
+    obs::Span startSegment(std::size_t to) const;
+
     /** Installs the committed products of the chunk just resolved. */
     void commitChunk(core::StateHandle final_state,
                      core::StateHandle snapshot, std::size_t snap,
@@ -202,6 +276,8 @@ class SessionPipeline
     core::StateHandle committedSnapshot_;
     std::size_t committedSnapStart_ = 0; //!< Snapshot's input index.
     std::size_t committedEnd_ = 0;       //!< End of the committed chunk.
+
+    OpenChunk open_;
 };
 
 } // namespace repro::serving

@@ -8,11 +8,13 @@
  * Every deterministic test runs with the background coordinator off
  * and pumps poll() manually against an injected fake clock, so closure
  * traces are exact and repeatable; only the concurrency test uses the
- * real coordinator thread.
+ * real coordinator thread.  The ServingRuntimeAdvance tests pin how
+ * the strand runs an open chunk ahead of its closure.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -23,7 +25,9 @@
 #include "core/ema_model.h"
 #include "core/versioned_state.h"
 #include "metrics/metrics.h"
+#include "obs/span_recorder.h"
 #include "serving/serving_runtime.h"
+#include "serving/session_pipeline.h"
 #include "util/block_arena.h"
 #include "workloads/workload.h"
 
@@ -31,11 +35,15 @@ namespace {
 
 using repro::core::ScopedStateVersioning;
 using repro::core::StateVersioning;
+using repro::obs::Span;
+using repro::obs::SpanKind;
+using repro::obs::SpanRecorder;
 using repro::serving::ResultChunk;
 using repro::serving::ServingOptions;
 using repro::serving::ServingRuntime;
 using repro::serving::SessionConfig;
 using repro::serving::SessionId;
+using repro::serving::SessionPipeline;
 using repro::serving::SubmitStatus;
 using repro::serving::submitStatusName;
 using repro::testing::EmaModel;
@@ -407,6 +415,224 @@ TEST(ServingRuntime, EvictionReturnsEveryArenaBlock)
     EXPECT_EQ(BlockArena::global().liveBlocks(), liveBefore)
         << "eviction must return every block the session held";
     EXPECT_GT(BlockArena::global().freedBlocks(), freedBefore);
+}
+
+/** The recorded spans of @p kind for @p chunk of session @p session. */
+std::vector<Span>
+spansOf(SpanKind kind, SessionId session, std::int64_t chunk)
+{
+    std::vector<Span> out;
+    for (const Span &span : SpanRecorder::global().snapshot().spans)
+        if (span.kind == kind && span.session == session &&
+            span.chunk == chunk)
+            out.push_back(span);
+    return out;
+}
+
+/** Waits (bounded) until the strand has recorded an activation of
+ *  @p chunk that covered @p queued open inputs: a pool task runs it, so
+ *  a manual poll() returns before it does. */
+void
+awaitAdvance(SessionId session, std::int64_t chunk, std::uint32_t queued)
+{
+    const auto deadline = Clock::now() + std::chrono::seconds(30);
+    for (;;) {
+        for (const Span &span :
+             spansOf(SpanKind::ChunkProcess, session, chunk))
+            if (span.parent == 0 && span.inputCount == queued)
+                return;
+        ASSERT_LT(Clock::now(), deadline)
+            << "strand never advanced chunk " << chunk;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+}
+
+TEST(ServingRuntimeAdvance, OpenChunkBodyRunsBeforeItsClosure)
+{
+    // 6 of 8 inputs queued and the strand idle: the chunk has begun and
+    // its body has run over all but the K = 2 held-back inputs, before
+    // the chunk closes; only the tail runs after the closure.
+    EmaModel::Config mc;
+    mc.inputs = 64;
+    const EmaModel model(mc);
+    FakeClock clock;
+    ServingRuntime runtime(manualOptions(clock));
+    Collector results;
+    SessionConfig cfg;
+    cfg.chunkInputs = 8;
+    cfg.queueCapacity = 64;
+    cfg.stats.altWindowK = 2;
+    cfg.stats.numOriginalStates = 2;
+    cfg.onResult = results.fn();
+    const SessionId id = runtime.admit(model, cfg);
+    SpanRecorder::global().clear();
+
+    for (int i = 0; i < 8 + 6; ++i)
+        ASSERT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+    runtime.poll(); // Closes chunk 0; 6 inputs of chunk 1 open.
+    awaitAdvance(id, 1, 6);
+    EXPECT_EQ(runtime.sessionStats(id).chunksClosed, 1u);
+
+    for (int i = 0; i < 2; ++i)
+        ASSERT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+    runtime.poll(); // Closes chunk 1 on size.
+    runtime.drain(id);
+
+    const std::vector<Span> closes = spansOf(SpanKind::ChunkClose, id, 1);
+    ASSERT_EQ(closes.size(), 1u);
+    const Span &close = closes.front();
+    std::vector<Span> segments = spansOf(SpanKind::ChunkBody, id, 1);
+    for (const Span &span : spansOf(SpanKind::ReExec, id, 1))
+        segments.push_back(span);
+    ASSERT_EQ(segments.size(), 2u);
+    std::sort(segments.begin(), segments.end(),
+              [](const Span &a, const Span &b) {
+                  return a.firstInput < b.firstInput;
+              });
+    EXPECT_EQ(segments[0].firstInput, 8);
+    EXPECT_EQ(segments[0].inputCount, 6u - 2u);
+    EXPECT_LE(segments[0].endNs, close.startNs)
+        << "the body must run before the closure";
+    EXPECT_EQ(segments[1].firstInput, 8 + 6 - 2);
+    EXPECT_EQ(segments[1].inputCount, 8u - (6u - 2u));
+    EXPECT_GE(segments[1].startNs, close.startNs);
+
+    // The early activation has no closure to hang off yet; the closing
+    // one does.
+    bool early = false;
+    bool closing = false;
+    for (const Span &span : spansOf(SpanKind::ChunkProcess, id, 1)) {
+        early = early || (span.parent == 0 && span.inputCount == 6);
+        closing = closing || (span.parent == close.id &&
+                              span.inputCount == 8);
+    }
+    EXPECT_TRUE(early);
+    EXPECT_TRUE(closing);
+
+    // Outputs are those of the whole-chunk pipeline.
+    SessionPipeline oracle(model, cfg.stats, cfg.seed);
+    std::vector<double> expected;
+    for (int c = 0; c < 2; ++c) {
+        const auto chunk = oracle.processChunk(8);
+        expected.insert(expected.end(), chunk.outputs.begin(),
+                        chunk.outputs.end());
+    }
+    {
+        const std::lock_guard<std::mutex> lock(results.mu);
+        EXPECT_TRUE(results.outputs == expected);
+    }
+    runtime.evict(id);
+}
+
+TEST(ServingRuntimeAdvance, RetuneAfterFirstInputLandsAtNextBoundary)
+{
+    // The strand begins chunk 1 at its first input, under K = 2; a
+    // retune requested then must leave chunk 1 at K = 2 and land at
+    // the boundary after it.
+    EmaModel::Config mc;
+    mc.inputs = 64;
+    mc.alpha = 0.05;
+    mc.tolerance = 0.02;
+    const EmaModel model(mc);
+    FakeClock clock;
+    ServingRuntime runtime(manualOptions(clock));
+    Collector results;
+    SessionConfig cfg;
+    cfg.chunkInputs = 8;
+    cfg.queueCapacity = 64;
+    cfg.stats.altWindowK = 2;
+    cfg.stats.numOriginalStates = 1;
+    cfg.onResult = results.fn();
+    const SessionId id = runtime.admit(model, cfg);
+    SpanRecorder::global().clear();
+
+    for (int i = 0; i < 8 + 1; ++i)
+        ASSERT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+    runtime.poll(); // Closes chunk 0; chunk 1 opens with one input.
+    awaitAdvance(id, 1, 1);
+    ASSERT_TRUE(runtime.retune(id, {8, 3, 2}));
+    EXPECT_EQ(runtime.sessionStats(id).retunesApplied, 0u);
+
+    for (int i = 0; i < 7 + 8; ++i)
+        ASSERT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+    runtime.poll(); // Closes chunk 1 (old knobs), then chunk 2 (new).
+    runtime.drain(id);
+
+    const auto stats = runtime.sessionStats(id);
+    EXPECT_EQ(stats.retunesApplied, 1u);
+    EXPECT_EQ(stats.tuning.altWindowK, 3u);
+    // The alt producer's span detail is the K it replayed.
+    const auto alt1 = spansOf(SpanKind::AltProducer, id, 1);
+    const auto alt2 = spansOf(SpanKind::AltProducer, id, 2);
+    ASSERT_EQ(alt1.size(), 1u);
+    ASSERT_EQ(alt2.size(), 1u);
+    EXPECT_EQ(alt1.front().detail, 2);
+    EXPECT_EQ(alt2.front().detail, 3);
+
+    SessionPipeline oracle(model, cfg.stats, cfg.seed);
+    std::vector<double> expected;
+    for (int c = 0; c < 3; ++c) {
+        if (c == 2)
+            oracle.reconfigure({3, 2});
+        const auto chunk = oracle.processChunk(8);
+        expected.insert(expected.end(), chunk.outputs.begin(),
+                        chunk.outputs.end());
+    }
+    EXPECT_EQ(stats.aborts, oracle.aborts());
+    {
+        const std::lock_guard<std::mutex> lock(results.mu);
+        EXPECT_TRUE(results.outputs == expected);
+    }
+    runtime.evict(id);
+}
+
+TEST(ServingRuntimeAdvance, ShutdownReleasesABegunChunk)
+{
+    // A runtime destroyed while a begun chunk is still open must return
+    // every arena block, the begun chunk's working state included.
+    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
+    const auto workload = repro::workloads::makeWorkload("facetrack", 0.1);
+    const auto &model = workload->model();
+    const std::size_t liveBefore = BlockArena::global().liveBlocks();
+    SpanRecorder::global().clear();
+    SessionId id = 0;
+    {
+        FakeClock clock;
+        ServingRuntime runtime(manualOptions(clock));
+        SessionConfig cfg;
+        cfg.chunkInputs = 5;
+        cfg.queueCapacity = 32;
+        cfg.stats.altWindowK = 2;
+        cfg.stats.numOriginalStates = 2;
+        id = runtime.admit(model, cfg);
+        for (int i = 0; i < 5 + 4; ++i)
+            ASSERT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+        runtime.poll(); // Closes chunk 0; chunk 1 opens with 4 inputs.
+        awaitAdvance(id, 1, 4);
+        EXPECT_GT(BlockArena::global().liveBlocks(), liveBefore);
+    }
+    EXPECT_EQ(spansOf(SpanKind::ChunkClose, id, 1).size(), 0u)
+        << "chunk 1 must still have been open at shutdown";
+    EXPECT_EQ(BlockArena::global().liveBlocks(), liveBefore)
+        << "shutdown must return every block the session held";
+}
+
+TEST(ServingRuntimeAdvance, ReleaseStateDropsABegunChunk)
+{
+    // The pipeline-level half of the above: releaseState() on a begun
+    // chunk returns its blocks while the pipeline itself lives on.
+    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
+    const auto workload = repro::workloads::makeWorkload("facetrack", 0.1);
+    const auto &model = workload->model();
+    const std::size_t liveBefore = BlockArena::global().liveBlocks();
+    SessionPipeline pipeline(model, {2, 2}, 7);
+    pipeline.processChunk(5);
+    pipeline.advance(4);
+    ASSERT_TRUE(pipeline.begun());
+    EXPECT_GT(BlockArena::global().liveBlocks(), liveBefore);
+    pipeline.releaseState();
+    EXPECT_FALSE(pipeline.begun());
+    EXPECT_EQ(BlockArena::global().liveBlocks(), liveBefore);
 }
 
 } // namespace

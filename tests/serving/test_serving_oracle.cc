@@ -218,7 +218,8 @@ describeAbortReports()
 
 TEST(ServingOracle, AbortReportsMatchBatch)
 {
-    // Both batch schedules and a session fed the batch closure trace
+    // Both batch schedules and a session fed the batch closure trace —
+    // closing each chunk whole, or advancing it as its inputs arrive —
     // attribute each abort the same way: same chunk and inputs, same
     // comparisons in check order with the same divergence block and
     // bytes walked, same headline.  facetrack under CopyOnWrite has
@@ -248,11 +249,28 @@ TEST(ServingOracle, AbortReportsMatchBatch)
         ASSERT_EQ(pipeline.aborts(), 2u) << "seed " << seed;
         reports.push_back(describeAbortReports());
 
+        // The same session, each chunk advanced one input at a time as
+        // its inputs arrive: the reports are filed at the close, with
+        // the chunk's input count.
+        AbortLog::global().clear();
+        SessionPipeline fed(model, pc, seed,
+                            &repro::util::ThreadPool::global());
+        for (const std::size_t size :
+             batchChunkSizes(model.numInputs(), config.numChunks)) {
+            for (std::size_t queued = 1; queued <= size; ++queued)
+                fed.advance(queued);
+            fed.processChunk(size);
+        }
+        ASSERT_EQ(fed.aborts(), 2u) << "seed " << seed;
+        reports.push_back(describeAbortReports());
+
         EXPECT_EQ(std::count(reports[0].begin(), reports[0].end(), '\n'),
                   2)
             << "seed " << seed;
         EXPECT_EQ(reports[1], reports[0]) << "pipelined, seed " << seed;
         EXPECT_EQ(reports[2], reports[0]) << "session, seed " << seed;
+        EXPECT_EQ(reports[3], reports[0])
+            << "advance-fed session, seed " << seed;
     }
     AbortLog::global().clear();
 }
