@@ -37,17 +37,25 @@ compareCandidate(const State &spec, const State &candidate, int identity)
 
 } // namespace
 
-void
+double
 runSpan(const IStateModel &model, State &state, std::size_t from,
-        std::size_t to, util::Rng &rng, double *outs, trace::TaskKind kind)
+        std::size_t to, util::Rng &rng, double *outs, trace::TaskKind kind,
+        trace::OpCounter *ops)
 {
-    ExecContext ctx(rng, nullptr, kind);
+    const std::uint64_t copied_before = ops ? stateCopiedBytes(state) : 0;
+    ExecContext ctx(rng, ops, kind);
     for (std::size_t i = from; i < to; ++i) {
         const double out = model.update(state, i, ctx);
         if (outs)
             outs[i - from] = out;
     }
     rng = ctx.rng();
+    if (ops) {
+        const std::uint64_t copied = stateCopiedBytes(state) - copied_before;
+        if (copied > 0)
+            ops->tick(trace::TaskKind::StateCopy, copied / 8);
+    }
+    return ctx.localWork();
 }
 
 obs::AbortReport
