@@ -333,19 +333,24 @@ stateCopiedBytes(const State &s)
     return p ? p->copiedBytes() : 0;
 }
 
+/** What a legacy eager deep copy of @p bytes costs. */
+inline CloneStats
+fullCloneStats(std::size_t bytes)
+{
+    CloneStats stats;
+    stats.blocksCopied = (bytes + util::BlockArena::kDefaultBlockBytes - 1) /
+                         util::BlockArena::kDefaultBlockBytes;
+    stats.bytesCopied = bytes;
+    return stats;
+}
+
 /** What cloning produced @p s cost; legacy deep-copy states report a
  *  full copy of @p fallback_bytes. */
 inline CloneStats
 stateCloneStats(const State &s, std::size_t fallback_bytes)
 {
-    if (const VersionedBuffer *p = s.payload())
-        return p->creationStats();
-    CloneStats stats;
-    stats.blocksCopied =
-        (fallback_bytes + util::BlockArena::kDefaultBlockBytes - 1) /
-        util::BlockArena::kDefaultBlockBytes;
-    stats.bytesCopied = fallback_bytes;
-    return stats;
+    const VersionedBuffer *p = s.payload();
+    return p ? p->creationStats() : fullCloneStats(fallback_bytes);
 }
 
 } // namespace repro::core
