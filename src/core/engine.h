@@ -11,7 +11,10 @@
  * speculative chunks in program order — while emitting a task graph that
  * mirrors the parallel structure the real STATS binary would have.  The
  * platform simulator then provides timing for that graph on the modeled
- * machine.
+ * machine.  runStats drives the protocol steps NativeRuntime also runs
+ * (core/batch_protocol.h) in program order, growing each boundary's
+ * replicas before its check as in the paper, and prices every step in
+ * a DES cost sink; tests/core/test_engine_digest.cc pins its results.
  *
  * Semantics preservation (tested in tests/core): every committed output
  * sequence could have been produced by the original sequential program,

@@ -2,62 +2,39 @@
  * @file
  * Native (std::thread) STATS runtime.
  *
- * The engine (engine.h) executes the STATS model logically and hands
- * timing to the platform simulator — that is what every figure uses,
- * so the figures do not depend on the host's core count (DESIGN.md
- * §2).  NativeRuntime executes the same protocol with real threads: chunks run
- * speculatively in parallel, original states are regenerated by replica
- * threads, and the commit protocol resolves boundaries in program
- * order.  Each boundary first compares the next chunk's speculative
- * state against the committed final state; the other original states
- * are only needed when that compare misses, so a boundary without
- * valid replicas regenerates them only then.
+ * The engine (engine.h) runs the STATS protocol logically and hands
+ * timing to the platform simulator, so the figures do not depend on
+ * the host's core count (DESIGN.md §2).  NativeRuntime runs the same
+ * protocol steps (core/batch_protocol.h) with real threads on the
+ * process-wide util::ThreadPool; max_threads caps how many pool
+ * executors a run occupies.  Steps and RNG streams are shared, so for
+ * any (model, config, seed) the outputs, commits and aborts equal
+ * Engine::runStats's, whose pinned digests
+ * (tests/core/test_engine_digest.cc) are the independent reference.
  *
- * The runtime derives every RNG stream exactly as the engine does, so
- * for any (model, config, seed) its outputs, commit decisions, and
- * abort count are bit-identical to Engine::runStats — the property the
- * cross-validation tests in tests/core enforce.  On a multi-core host
- * it also provides genuine wall-clock speedup.
+ * The two commit protocols (CommitProtocol) schedule those steps:
  *
- * Chunk workers and replica regeneration run on the process-wide
- * util::ThreadPool (shared with the autotuner) rather than spawning
- * std::thread per round; max_threads only caps how many pool
- * executors a run may occupy concurrently.
+ *  - Barrier: every chunk body finishes before the first commit check,
+ *    then each boundary resolves on the calling thread, regenerating
+ *    its replicas from the committed snapshot only when the committed
+ *    final state misses.  Both perfbench batch workloads run it, and
+ *    on batch-fine's 40 short chunks it outran the pipeline in an
+ *    interleaved A/B (ROADMAP.md, item 2).
+ *  - Pipelined (default): steps are util::TaskGraphExecutor nodes.
+ *    Boundary c resolves once chunks c and c+1 and its replicas are
+ *    ready, and its replicas grow eagerly from chunk c's speculative
+ *    snapshot while later bodies still run.  Eager replicas of a chunk
+ *    that re-executed are discarded (retagged MispecReExec in the
+ *    measured trace) and, on a miss, regrown from the re-executed
+ *    snapshot on the same streams (DESIGN.md §12).
  *
- * Two commit protocols are available (CommitProtocol):
- *
- *  - Barrier: the historical two-phase structure — every chunk body
- *    finishes before the first commit check, then each boundary
- *    resolves on the main thread, regenerating its replicas from the
- *    committed snapshot only when the committed final state misses.
- *    Kept so bench/native_overheads can quantify the synchronization
- *    and imbalance loss the pipeline removes.
- *  - Pipelined (default): a dependency-driven pipeline on
- *    util::TaskGraphExecutor.  Boundary c resolves as soon as chunks
- *    c and c+1 plus boundary-c's replicas are ready — not after *all*
- *    chunks; replica regeneration for boundary c launches eagerly
- *    from chunk c's *speculative* snapshot while later chunk bodies
- *    are still running; comparisons and abort re-execution run on
- *    pool workers, never the caller.  Eager replicas are valid
- *    because on commit the committed snapshot *is* the speculative
- *    snapshot; when chunk c instead was re-executed, its eager
- *    replicas are discarded (retagged MispecReExec in the measured
- *    trace) and, if the committed final state misses, regenerated
- *    from the re-executed snapshot with the same RNG streams, so
- *    outputs, commits, and aborts stay bit-identical to
- *    Engine::runStats in both protocols (DESIGN.md §12).
- *
- * Passing a trace::MeasuredTraceRecorder to run()/runSequential()
- * additionally emits a *measured* task graph of the execution —
- * every protocol step (chunk bodies, alt-producer replays, state
- * copies, replica regeneration, comparisons, abort re-execution)
- * becomes a correctly-kinded trace::Task whose work is its measured
- * wall-clock duration in microseconds, with dependency edges
- * mirroring the commit protocol.  Each step is timed once by a
- * core::StepScope, whose clock pair also feeds the step's span and
- * phase histogram.  Recording never changes results: outputs,
- * commits, and aborts are bit-identical with and without a recorder
- * (enforced by tests/core).
+ * Passing a trace::MeasuredTraceRecorder to run()/runSequential() also
+ * records a measured task graph: every protocol step becomes a
+ * correctly-kinded trace::Task whose work is its wall-clock duration in
+ * microseconds, with edges mirroring the schedule.  Each step is timed
+ * once by a core::StepScope, whose clock pair also feeds the step's
+ * span and phase histogram.  Recording never changes results (enforced
+ * by tests/core).
  */
 
 #ifndef REPRO_CORE_NATIVE_RUNTIME_H

@@ -4,9 +4,10 @@
  *
  * Every protocol step draws its randomness from base.split(id), where
  * base is util::Rng(seed) and the id names the step's role and its
- * chunk.  Engine::runStats, NativeRuntime and serving::SessionPipeline
- * all take their ids from here, so the three replay the same streams
- * and stay bit-identical to each other.
+ * chunk.  The batch protocol steps (core/batch_protocol.h, behind
+ * Engine::runStats and NativeRuntime) and serving::SessionPipeline take
+ * their ids from here, so they replay the same streams and stay
+ * bit-identical to each other.
  *
  * The ids are additive offsets per role.  They are unique only within
  * bounded chunk counts (body(c) meets alt(0) at c = 1000), which every
