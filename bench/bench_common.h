@@ -100,15 +100,6 @@ class MetricsScope
     const bool wasEnabled_;
 };
 
-/** The final metrics snapshot as a JSON object, for embedding in a
- *  BENCH_*.json under the "metrics" key. */
-inline std::string
-metricsSnapshotJson(const std::string &indent = "  ")
-{
-    return metrics::toJson(metrics::MetricsRegistry::global().snapshot(),
-                           indent);
-}
-
 /**
  * JSON object describing the host the bench ran on, for inclusion in
  * every BENCH_*.json under the "host" key: hardware concurrency and

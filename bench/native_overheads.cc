@@ -11,8 +11,7 @@
  * (workload, config, seed).  Both commit protocols (barrier and
  * pipelined, core::CommitProtocol) are characterized side by side, so
  * the artifact quantifies exactly what the dependency-driven pipeline
- * buys over the two-phase barrier.  The machine-readable baseline
- * lives in BENCH_native_overheads.json at the repo root.
+ * buys over the two-phase barrier.
  *
  * Default config: facedet-and-track at full scale, 4 threads, 5
  * repeats.  facedet-and-track is the workload whose tuned config has
@@ -31,39 +30,22 @@
  *   --threads=<n>      parallelism cap, 0 = hardware (default 4)
  *   --repeats=<n>      timed runs, best taken        (default 5)
  *   --pipeline=<mode>  on | off | both               (default both)
- *   --versioning=<m>   deep | cow | both             (default both)
- *   --out=<path>       write the JSON here           (default BENCH_native_overheads.json)
+ *   --out=<path>       write the JSON here           (default: no file)
  *   --trace=<path>     dump the last mode's measured run as a Chrome trace
  *   --metrics=<on|off> always-on metrics collection  (default on)
  *   --metrics-out=<p>  also write the metrics snapshot to <p>
- *   --trace-out=<p>    dump the recorded obs spans as a Chrome trace
- *   --flight-dir=<d>   write a manual flight-recorder dump into <d>
  *
- * Besides the overhead ladder, the harness prices the always-on
- * metrics themselves: the first protocol's STATS run is timed with
- * collection on and off (interleaved, best of repeats) and the ratio
- * is reported as "metrics_overhead_fraction" — the acceptance bound
- * is < 2%.  The always-on span tracing layer (src/obs/) is priced the
- * same way and reported as "tracing_overhead_fraction", with the same
- * < 2% acceptance bound (CI gates the committed baseline).
- *
- * The harness also prices the state-versioning layer the same way:
- * under --versioning=both (the default) the first protocol's run is
- * repeated under StateVersioning::Deep and ::CopyOnWrite and the §V-B
- * state-copy / state-comparison busy seconds, plus the state.*
- * counter deltas, are reported side by side ("state_versioning" in
- * the JSON).  Outputs must be bit-identical across modes — the knob
- * only changes how state bytes are stored and checked, never what
- * they contain.  --versioning=deep|cow instead pins the whole bench
- * to one mode.
+ * What the instrumentation layers promise about a run (metrics off
+ * leaves the counters alone, tracing and recording never change a
+ * result, copy-on-write copies fewer bytes than deep cloning, the
+ * counters repeat run to run) is held by the tier-1 tests
+ * (tests/core/test_native_instrumentation.cc), not by this harness.
  */
 
 #include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -72,10 +54,6 @@
 #include "analysis/overheads.h"
 #include "bench/bench_common.h"
 #include "core/native_runtime.h"
-#include "core/versioned_state.h"
-#include "metrics/metrics.h"
-#include "obs/flight_recorder.h"
-#include "obs/span_recorder.h"
 #include "platform/machine.h"
 #include "platform/measured.h"
 #include "platform/trace_export.h"
@@ -163,26 +141,6 @@ struct ModeReport
     }
 };
 
-/** The state.* counters the versioning A/B reports as deltas. */
-constexpr const char *kStateCounterNames[] = {
-    "state.blocks_shared",          "state.blocks_copied",
-    "state.bytes_copied",           "state.blocks_swapped",
-    "state.validation_blocks_compared",
-    "state.validation_blocks_skipped",
-    "state.validation_blocks_hashed",
-};
-
-/** One StateVersioning mode of the A/B probe, fully characterized. */
-struct VersioningReport
-{
-    core::StateVersioning mode = core::StateVersioning::Deep;
-    double statsSeconds = 0.0;        //!< Best-of unrecorded runs.
-    double stateCopySeconds = 0.0;    //!< §V-B state-copy busy time.
-    double stateCompareSeconds = 0.0; //!< §V-B state-comparison busy time.
-    NativeRuntime::Result result;
-    std::map<std::string, double> counterDeltas;
-};
-
 } // namespace
 
 int
@@ -197,26 +155,9 @@ main(int argc, char **argv)
     const int repeats =
         std::max(1, static_cast<int>(cli.getInt("repeats", 5)));
     const std::string pipeline_mode = cli.getString("pipeline", "both");
-    const std::string versioning_mode =
-        cli.getString("versioning", "both");
-    const std::string out_path =
-        cli.getString("out", "BENCH_native_overheads.json");
+    const std::string out_path = cli.getString("out", "");
     const std::string trace_path = cli.getString("trace", "");
-    const std::string span_trace_path = cli.getString("trace-out", "");
-    const std::string flight_dir = cli.getString("flight-dir", "");
     const bench::MetricsScope metrics_scope(opt);
-
-    // --versioning=deep|cow pins every run in this process to one
-    // clone discipline; "both" leaves the default (cow) for the main
-    // characterization and adds the A/B probe section below.
-    std::optional<core::ScopedStateVersioning> pinned_versioning;
-    if (versioning_mode == "deep")
-        pinned_versioning.emplace(core::StateVersioning::Deep);
-    else if (versioning_mode == "cow")
-        pinned_versioning.emplace(core::StateVersioning::CopyOnWrite);
-    else if (versioning_mode != "both")
-        util::fatal("unknown --versioning mode: " + versioning_mode +
-                    " (expected deep, cow, or both)");
 
     std::vector<CommitProtocol> protocols;
     if (pipeline_mode == "both")
@@ -319,138 +260,6 @@ main(int argc, char **argv)
         }
     }
 
-    // Price the always-on metrics: the first protocol's STATS run,
-    // collection on vs off, interleaved so clock drift and cache
-    // warm-up hit both states alike, best of repeats each.  Results
-    // must be bit-identical either way — collection only counts.
-    // Skipped under --metrics=off: the probe would have to enable
-    // collection, against the flag's word (the fields stay 0).
-    double on_seconds = 0.0;
-    double off_seconds = 0.0;
-    double metrics_overhead = 0.0;
-    bool metrics_identical = true;
-    if (opt.metrics) {
-        const NativeRuntime probe_rt(threads, protocols.front());
-        on_seconds = std::numeric_limits<double>::infinity();
-        off_seconds = std::numeric_limits<double>::infinity();
-        for (int r = 0; r < repeats; ++r) {
-            metrics::setEnabled(true);
-            const NativeRuntime::Result on_run =
-                probe_rt.run(model, config, opt.seed);
-            metrics::setEnabled(false);
-            const NativeRuntime::Result off_run =
-                probe_rt.run(model, config, opt.seed);
-            on_seconds = std::min(on_seconds, on_run.wallSeconds);
-            off_seconds = std::min(off_seconds, off_run.wallSeconds);
-            metrics_identical =
-                metrics_identical && sameResult(on_run, off_run);
-        }
-        metrics::setEnabled(opt.metrics);
-        if (!metrics_identical) {
-            REPRO_LOG_WARN("metrics collection changed the results — "
-                           "instrumentation bug");
-        }
-        metrics_overhead =
-            off_seconds > 0.0 ? on_seconds / off_seconds - 1.0 : 0.0;
-    }
-
-    // Price the always-on span tracing (src/obs/) the same way:
-    // recording on vs off, interleaved, best of repeats, and the
-    // results must be bit-identical — spans only observe.
-    double tracing_on_seconds = std::numeric_limits<double>::infinity();
-    double tracing_off_seconds = std::numeric_limits<double>::infinity();
-    double tracing_overhead = 0.0;
-    bool tracing_identical = true;
-    {
-        const NativeRuntime probe_rt(threads, protocols.front());
-        for (int r = 0; r < repeats; ++r) {
-            obs::setEnabled(true);
-            const NativeRuntime::Result on_run =
-                probe_rt.run(model, config, opt.seed);
-            obs::setEnabled(false);
-            const NativeRuntime::Result off_run =
-                probe_rt.run(model, config, opt.seed);
-            tracing_on_seconds =
-                std::min(tracing_on_seconds, on_run.wallSeconds);
-            tracing_off_seconds =
-                std::min(tracing_off_seconds, off_run.wallSeconds);
-            tracing_identical =
-                tracing_identical && sameResult(on_run, off_run);
-        }
-        obs::setEnabled(true);
-        if (!tracing_identical) {
-            REPRO_LOG_WARN("span tracing changed the results — "
-                           "instrumentation bug");
-        }
-        tracing_overhead =
-            tracing_off_seconds > 0.0
-                ? tracing_on_seconds / tracing_off_seconds - 1.0
-                : 0.0;
-    }
-
-    // A/B-price the state-versioning layer on the first protocol:
-    // best-of-repeats timings per StateVersioning mode, recorded
-    // replays for the §V-B state-copy / state-comparison busy-time
-    // split (best of repeats per category — single recordings are
-    // noisy on a shared host), and the state.* counter deltas
-    // attributed to each mode.  Deep runs first so its clones cannot
-    // warm any block-level cache for cow.
-    std::vector<VersioningReport> vmodes;
-    bool versioning_identical = true;
-    if (versioning_mode == "both") {
-        auto &reg = metrics::MetricsRegistry::global();
-        const NativeRuntime ab_rt(threads, protocols.front());
-        for (const core::StateVersioning sv :
-             {core::StateVersioning::Deep,
-              core::StateVersioning::CopyOnWrite}) {
-            const core::ScopedStateVersioning guard(sv);
-            VersioningReport rep;
-            rep.mode = sv;
-            std::map<std::string, double> before;
-            for (const char *name : kStateCounterNames)
-                before[name] =
-                    static_cast<double>(reg.counter(name).value());
-            rep.statsSeconds = std::numeric_limits<double>::infinity();
-            for (int r = 0; r < repeats; ++r) {
-                rep.result = ab_rt.run(model, config, opt.seed);
-                rep.statsSeconds =
-                    std::min(rep.statsSeconds, rep.result.wallSeconds);
-            }
-            rep.stateCopySeconds =
-                std::numeric_limits<double>::infinity();
-            rep.stateCompareSeconds =
-                std::numeric_limits<double>::infinity();
-            for (int r = 0; r < repeats; ++r) {
-                trace::MeasuredTraceRecorder recorder;
-                ab_rt.run(model, config, opt.seed, &recorder);
-                const trace::MeasuredTrace mt = recorder.finish();
-                const platform::Schedule sched =
-                    platform::measuredSchedule(mt);
-                rep.stateCopySeconds = std::min(
-                    rep.stateCopySeconds,
-                    sched.busyByKind[static_cast<std::size_t>(
-                        trace::TaskKind::StateCopy)] *
-                        1e-6);
-                rep.stateCompareSeconds = std::min(
-                    rep.stateCompareSeconds,
-                    sched.busyByKind[static_cast<std::size_t>(
-                        trace::TaskKind::StateCompare)] *
-                        1e-6);
-            }
-            for (const char *name : kStateCounterNames)
-                rep.counterDeltas[name] =
-                    static_cast<double>(reg.counter(name).value()) -
-                    before[name];
-            vmodes.push_back(std::move(rep));
-        }
-        versioning_identical =
-            sameResult(vmodes.front().result, vmodes.back().result);
-        if (!versioning_identical) {
-            REPRO_LOG_WARN("state versioning modes disagree on results "
-                           "— copy-on-write bug");
-        }
-    }
-
     // DES prediction of the same (workload, config, seed) for the
     // side-by-side comparison.
     const core::Engine engine;
@@ -464,21 +273,6 @@ main(int argc, char **argv)
             util::fatal("cannot write " + trace_path);
         platform::writeChromeTrace(modes.back().sched,
                                    modes.back().mt.graph, os);
-    }
-    if (!span_trace_path.empty()) {
-        std::ofstream os(span_trace_path);
-        if (!os)
-            util::fatal("cannot write " + span_trace_path);
-        platform::writeSpansChromeTrace(
-            obs::SpanRecorder::global().snapshot(), os);
-    }
-    if (!flight_dir.empty()) {
-        obs::FlightRecorder::Options fopts;
-        fopts.dir = flight_dir;
-        obs::FlightRecorder flight(fopts);
-        const auto dump = flight.dump("manual");
-        if (dump)
-            std::cout << "flight dump: " << dump->path << "\n";
     }
 
     std::vector<std::string> header{"Category"};
@@ -537,43 +331,6 @@ main(int argc, char **argv)
                   << formatPercent(modes[1].syncPlusImbalance())
                   << " of ideal speedup\n";
     }
-    if (opt.metrics) {
-        std::cout << "metrics overhead: "
-                  << formatPercent(metrics_overhead) << " ("
-                  << formatDouble(on_seconds * 1e3, 2) << " ms on vs "
-                  << formatDouble(off_seconds * 1e3, 2) << " ms off)\n";
-    }
-    std::cout << "tracing overhead: " << formatPercent(tracing_overhead)
-              << " (" << formatDouble(tracing_on_seconds * 1e3, 2)
-              << " ms on vs "
-              << formatDouble(tracing_off_seconds * 1e3, 2)
-              << " ms off)\n";
-    if (!vmodes.empty()) {
-        Table vt({"versioning", "stats ms", "state-copy s",
-                  "state-compare s", "bytes copied", "blocks shared",
-                  "blocks copied"});
-        for (const VersioningReport &rep : vmodes) {
-            vt.addRow(
-                {core::stateVersioningName(rep.mode),
-                 formatDouble(rep.statsSeconds * 1e3, 2),
-                 formatDouble(rep.stateCopySeconds, 6),
-                 formatDouble(rep.stateCompareSeconds, 6),
-                 formatDouble(
-                     rep.counterDeltas.at("state.bytes_copied"), 0),
-                 formatDouble(
-                     rep.counterDeltas.at("state.blocks_shared"), 0),
-                 formatDouble(
-                     rep.counterDeltas.at("state.blocks_copied"), 0)});
-        }
-        bench::emit(vt,
-                    std::string("State versioning A/B (") +
-                        core::commitProtocolName(protocols.front()) +
-                        " protocol, best of " +
-                        std::to_string(repeats) + ")",
-                    opt.csv);
-        std::cout << "versioning outputs identical: "
-                  << (versioning_identical ? "yes" : "NO") << "\n";
-    }
 
     std::ostringstream json;
     json << "{\n"
@@ -586,23 +343,8 @@ main(int argc, char **argv)
          << "  \"threads_exceed_cores\": "
          << (oversubscribed ? "true" : "false") << ",\n"
          << "  \"repeats\": " << repeats << ",\n"
-         << "  \"versioning\": \"" << versioning_mode << "\",\n"
          << "  \"host\": " << bench::hostMetadataJson() << ",\n"
          << "  \"sequential_seconds\": " << seq_seconds << ",\n"
-         << "  \"metrics_overhead_fraction\": " << metrics_overhead
-         << ",\n"
-         << "  \"stats_seconds_metrics_on\": " << on_seconds << ",\n"
-         << "  \"stats_seconds_metrics_off\": " << off_seconds << ",\n"
-         << "  \"metrics_identical\": "
-         << (metrics_identical ? "true" : "false") << ",\n"
-         << "  \"tracing_overhead_fraction\": " << tracing_overhead
-         << ",\n"
-         << "  \"stats_seconds_tracing_on\": " << tracing_on_seconds
-         << ",\n"
-         << "  \"stats_seconds_tracing_off\": " << tracing_off_seconds
-         << ",\n"
-         << "  \"tracing_identical\": "
-         << (tracing_identical ? "true" : "false") << ",\n"
          << "  \"modes\": {\n";
     for (std::size_t m = 0; m < modes.size(); ++m) {
         const ModeReport &mode = modes[m];
@@ -647,37 +389,8 @@ main(int argc, char **argv)
         json << "\n    }" << (m + 1 < modes.size() ? "," : "") << "\n";
     }
     json << "  },\n";
-    if (!vmodes.empty()) {
-        json << "  \"state_versioning\": {\n"
-             << "    \"protocol\": \""
-             << core::commitProtocolName(protocols.front()) << "\",\n"
-             << "    \"identical_outputs\": "
-             << (versioning_identical ? "true" : "false") << ",\n";
-        for (std::size_t v = 0; v < vmodes.size(); ++v) {
-            const VersioningReport &rep = vmodes[v];
-            json << "    \"" << core::stateVersioningName(rep.mode)
-                 << "\": {\n"
-                 << "      \"stats_seconds\": " << rep.statsSeconds
-                 << ",\n"
-                 << "      \"state_copy_seconds\": "
-                 << rep.stateCopySeconds << ",\n"
-                 << "      \"state_compare_seconds\": "
-                 << rep.stateCompareSeconds << ",\n"
-                 << "      \"counters\": {";
-            bool first = true;
-            for (const auto &[name, delta] : rep.counterDeltas) {
-                json << (first ? "" : ", ") << "\"" << name
-                     << "\": " << delta;
-                first = false;
-            }
-            json << "}\n    }" << (v + 1 < vmodes.size() ? "," : "")
-                 << "\n";
-        }
-        json << "  },\n";
-    }
     ladderJson(json, "  ", "des_model", des);
-    json << ",\n  \"metrics\": " << bench::metricsSnapshotJson("  ")
-         << "\n}\n";
+    json << "\n}\n";
 
     if (!out_path.empty()) {
         std::ofstream os(out_path);

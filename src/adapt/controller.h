@@ -34,8 +34,9 @@
  *    least ControllerConfig::deadband, so noise-level differences
  *    never trigger a step.
  * adapt.dwell_violations counts decisions applied while a dwell was
- * still pending; by construction the count stays zero and CI gates on
- * it as an invariant check.
+ * still pending; by construction the count stays zero, and
+ * ServingAdapt.ActiveAdaptorGrowsChunksWhenLoadShifts checks it on a
+ * live session.
  *
  * Determinism: in ControllerMode::Frozen the controller runs its full
  * observe/score/decide loop and *records* every decision, but never
@@ -227,8 +228,8 @@ class FeedbackController
     std::int64_t gaugeR_ = 0;
 };
 
-/** JSON array rendering of a decision trace, for BENCH_*.json
- *  embedding.  @p indent prefixes inner lines. */
+/** JSON array rendering of a decision trace.  @p indent prefixes
+ *  inner lines. */
 std::string decisionsToJson(const std::vector<Decision> &decisions,
                             const std::string &indent = "");
 

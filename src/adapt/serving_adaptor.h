@@ -14,9 +14,7 @@
  * change.
  *
  * Ticks can be driven two ways:
- *  - manually, tick() per window — what the deterministic tests and
- *    the bench A/B do (the bench ticks on its pacing thread so the
- *    adaptive loop costs no extra thread on the single-core host);
+ *  - manually, tick() per window — what the deterministic tests do;
  *  - by a background thread (Options::background + start()), the
  *    production shape.
  * Either way ticks are serialized by a mutex; the controller itself

@@ -4,9 +4,9 @@
  * as JSON or Prometheus-style text.
  *
  * Both renderings come from the *same* snapshot struct, so a scrape
- * and an embedded BENCH_*.json "metrics" object taken at the same
- * moment agree number for number.  The JSON shape is stable and
- * machine-checked in CI (jq) and by bench/metrics_diff:
+ * and a --metrics-out file or flight dump "metrics" object taken at
+ * the same moment agree number for number.  The JSON shape is stable
+ * and checked by MetricsTest.JsonExportShape:
  *
  *   {
  *     "counters":   {"<name>": <uint>, ...},

@@ -30,9 +30,9 @@
  *    their instruments once (function-local static reference) and the
  *    steady state is pure shard arithmetic.
  *  - setEnabled(false) turns every instrument into a near-no-op (one
- *    relaxed atomic load) so the cost of the layer itself is
- *    measurable: bench/native_overheads reports the on-vs-off
- *    wall-clock delta in its JSON artifact.
+ *    relaxed atomic load): a run then leaves every counter where it
+ *    was (NativeRuntimeInstrumentation.MetricsOffLeavesRuntimeCountersAlone).
+ *    The cost of one bump is perfbench's ladder.counter_ns.
  *
  * Rendering one consistent snapshot as JSON or Prometheus-style text
  * lives in metrics/export.h.

@@ -25,7 +25,8 @@ FlightRecorder::FlightRecorder(Options options)
     : opts_(std::move(options))
 {
     // Register the counter eagerly so snapshots carry the name even
-    // before the first dump (metrics_diff watches for removal).
+    // before the first dump (checked by
+    // FlightRecorderTest.AbortStormDumpClosesEveryCausalChain).
     (void)flightDumpsCounter();
     lastPoll_ = now();
 }

@@ -18,7 +18,7 @@
  * The clock is injectable so tests drive triggers deterministically
  * with a fake clock; poll() itself is cheap (one registry sweep) and
  * rate-limited by maxDumps so a persistent anomaly cannot fill the
- * disk.  dump() is also callable directly — benches use it to capture
+ * disk.  dump() is also callable directly — tests use it to capture
  * an induced abort storm on demand.
  */
 

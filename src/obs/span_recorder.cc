@@ -11,7 +11,8 @@ namespace {
 std::atomic<bool> g_enabled{true};
 
 /** Instruments resolved once; also eagerly registers the obs.* family
- *  so snapshots (and the metrics_diff gate) always carry the names,
+ *  so snapshots always carry the names (a flight dump is checked for
+ *  them by FlightRecorderTest.AbortStormDumpClosesEveryCausalChain),
  *  even before the first drop / dump. */
 struct ObsCounters
 {

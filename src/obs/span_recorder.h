@@ -14,8 +14,9 @@
  *    readers only — writers never contend with each other, and the
  *    mutex is uncontended except while a flight dump is copying;
  *  - obs::setEnabled(false) reduces start()/finish() to one relaxed
- *    atomic load, so bench/native_overheads can price the layer
- *    exactly like it prices metrics (tracing_overhead_fraction);
+ *    atomic load, and a run's results do not depend on it
+ *    (NativeRuntimeInstrumentation.TracingDoesNotChangeResults); the
+ *    cost of one span is perfbench's ladder.span_ns;
  *  - span ids come from one process-wide atomic, so parent links are
  *    valid across threads and across rings.
  *
@@ -63,8 +64,9 @@ struct SpanSnapshot
 class SpanRecorder
 {
   public:
-    /** Default per-thread ring capacity.  Sized so a serving session
-     *  under CI load never wraps (the smoke asserts dropped == 0)
+    /** Default per-thread ring capacity.  Sized so a paced serving
+     *  session never wraps (dropped == 0 is asserted by
+     *  ServingRuntime.PacedRunClosesOnDeadlineAndTracesEverySpan)
      *  while a ring stays ~0.5 MB per thread. */
     static constexpr std::size_t kDefaultSlots = 8192;
 

@@ -2,10 +2,10 @@
  * @file
  * Minimal JSON reader for the repo's own machine-readable artifacts.
  *
- * Every bench emits JSON (BENCH_*.json, metrics snapshots); until now
- * nothing in-tree could read one back.  bench/metrics_diff compares
- * two metrics snapshots across runs/PRs, which needs exactly this: a
- * small recursive-descent parser into an immutable value tree.  It is
+ * Benches, metrics snapshots and flight dumps emit JSON; the tests
+ * read it back (tests/obs parses a fresh flight dump and its Chrome
+ * trace), which needs exactly this: a small recursive-descent parser
+ * into an immutable value tree.  It is
  * a *reader for our own artifacts*, not a general JSON library — no
  * \u escapes beyond Latin-1, no streaming, whole document in memory.
  */

@@ -648,6 +648,10 @@ TEST(NativeRuntime, PipelinedMatchesBarrierOnRealWorkloads)
 
 TEST(NativeRuntimeDeathTest, RequiresStatsTlp)
 {
+    // The global pool's workers are alive by now; a plain fork() would
+    // copy their locks in whatever state they hold, and the child can
+    // hang on one.  "threadsafe" re-executes the binary instead.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EmaModel::Config mc;
     mc.inputs = 64;
     const EmaModel model(mc);

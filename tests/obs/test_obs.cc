@@ -2,8 +2,9 @@
  * @file
  * Tests of the tracing subsystem (src/obs/): span ring wraparound and
  * drop accounting, cross-thread parent links, the abort causal chain
- * plus its root-cause report, and the flight recorder's trigger
- * predicates driven by a fake clock.
+ * plus its root-cause report, the flight recorder's trigger
+ * predicates driven by a fake clock, and the dump of a live serving
+ * abort storm.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,9 +24,12 @@
 #include "obs/abort_report.h"
 #include "obs/flight_recorder.h"
 #include "obs/span_recorder.h"
+#include "platform/trace_export.h"
+#include "serving/serving_runtime.h"
 #include "serving/session_pipeline.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
+#include "workloads/workload.h"
 
 namespace {
 
@@ -500,6 +506,129 @@ TEST(FlightRecorderTest, LatencySloTriggerUsesWindowQuantile)
     EXPECT_EQ(dump->reason, "latency_slo");
     const JsonValue doc = JsonValue::parseFile(dump->path);
     EXPECT_EQ(doc.find("reason")->asString(), "latency_slo");
+
+    std::filesystem::remove_all(dir);
+}
+
+/** Member @p key of @p obj; fails the test (and returns a null
+ *  value) when absent. */
+const JsonValue &
+member(const JsonValue &obj, const std::string &key)
+{
+    static const JsonValue kMissing;
+    const JsonValue *v = obj.find(key);
+    EXPECT_NE(v, nullptr) << "missing \"" << key << "\"";
+    return v ? *v : kMissing;
+}
+
+TEST(FlightRecorderTest, AbortStormDumpClosesEveryCausalChain)
+{
+    // A mispeculation-prone serving stream (facetrack, 4-input chunks,
+    // R = 2) aborts repeatedly; a manual dump taken after it must pass
+    // the checks FLIGHT_sample.json is held to: the repro.flight.v1
+    // schema, abort reports naming the mismatching candidate and first
+    // differing block, every report's Abort span in the trace, and
+    // every re-execution parented on a reported abort.
+    const std::string dir =
+        ::testing::TempDir() + "obs_flight_storm_test";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    SpanRecorder::global().clear();
+    AbortLog::global().clear();
+
+    const auto workload = repro::workloads::makeWorkload("facetrack", 0.25);
+    const auto &model = workload->model();
+    repro::serving::ServingOptions sopt;
+    sopt.backgroundCoordinator = false;
+    std::uint64_t aborts = 0;
+    {
+        repro::serving::ServingRuntime runtime(sopt);
+        repro::serving::SessionConfig cfg;
+        cfg.chunkInputs = 4;
+        cfg.queueCapacity = model.numInputs();
+        cfg.stats.altWindowK = 2;
+        cfg.stats.numOriginalStates = 2;
+        const auto id = runtime.admit(model, cfg);
+        for (std::size_t i = 0; i < model.numInputs(); ++i)
+            ASSERT_EQ(runtime.submit(id).status,
+                      repro::serving::SubmitStatus::Accepted);
+        runtime.poll();
+        runtime.drain(id);
+        aborts = runtime.sessionStats(id).aborts;
+        runtime.evict(id);
+    }
+    ASSERT_GT(aborts, 0u) << "config must exercise the abort path";
+
+    FlightRecorder::Options opts;
+    opts.dir = dir;
+    FlightRecorder flight(opts);
+    const auto dump = flight.dump("manual");
+    ASSERT_TRUE(dump.has_value());
+    EXPECT_EQ(flight.dumps(), 1u);
+    const JsonValue doc = JsonValue::parseFile(dump->path);
+    EXPECT_EQ(member(doc, "schema").asString(), "repro.flight.v1");
+    EXPECT_EQ(member(doc, "spans_dropped").asNumber(), 0.0);
+
+    const JsonValue &spans = member(doc, "spans");
+    ASSERT_TRUE(spans.isArray());
+    ASSERT_FALSE(spans.array().empty());
+    std::set<double> spanIds;
+    for (const JsonValue &span : spans.array()) {
+        for (const char *key :
+             {"id", "parent", "kind", "session", "chunk", "first_input",
+              "input_count", "thread", "start_ns", "end_ns", "detail"})
+            ASSERT_NE(span.find(key), nullptr) << key;
+        spanIds.insert(span.find("id")->asNumber());
+    }
+
+    const JsonValue &reports = member(doc, "abort_reports");
+    ASSERT_TRUE(reports.isArray());
+    ASSERT_FALSE(reports.array().empty());
+    std::set<double> abortSpans;
+    for (const JsonValue &report : reports.array()) {
+        for (const char *key :
+             {"session", "chunk", "first_input", "span_id", "comparisons"})
+            ASSERT_NE(report.find(key), nullptr) << key;
+        const JsonValue &wasted = member(report, "wasted");
+        for (const char *key : {"body_seconds", "alt_seconds",
+                                "replica_seconds", "validate_seconds"})
+            EXPECT_NE(wasted.find(key), nullptr) << key;
+        EXPECT_GE(member(report, "mismatch_candidate").asNumber(), 0.0);
+        EXPECT_GE(member(report, "first_diff_block").asNumber(), 0.0);
+        const double spanId = report.find("span_id")->asNumber();
+        EXPECT_TRUE(spanIds.count(spanId)) << "report span " << spanId;
+        abortSpans.insert(spanId);
+    }
+    std::size_t reexecs = 0;
+    for (const JsonValue &span : spans.array()) {
+        if (span.find("kind")->asString() != "reexec")
+            continue;
+        ++reexecs;
+        EXPECT_TRUE(abortSpans.count(span.find("parent")->asNumber()))
+            << "reexec span " << span.find("id")->asNumber();
+    }
+    EXPECT_GT(reexecs, 0u);
+
+    // The instrumented paths register their metrics, so the dump's
+    // snapshot carries them even where they read 0.
+    const JsonValue &metrics = member(doc, "metrics");
+    const JsonValue &counters = member(metrics, "counters");
+    for (const char *name : {"obs.spans_recorded", "obs.dropped_spans",
+                             "obs.flight_dumps", "obs.abort.reports"})
+        EXPECT_NE(counters.find(name), nullptr) << name;
+    EXPECT_NE(member(metrics, "gauges").find("serving.queue_depth_highwater"),
+              nullptr);
+
+    // The same spans render as a Chrome trace.
+    std::ostringstream trace;
+    repro::platform::writeSpansChromeTrace(SpanRecorder::global().snapshot(),
+                                           trace);
+    const JsonValue events = JsonValue::parse(trace.str());
+    ASSERT_TRUE(events.isArray());
+    ASSERT_FALSE(events.array().empty());
+    for (const JsonValue &event : events.array())
+        for (const char *key : {"name", "ts", "dur"})
+            ASSERT_NE(event.find(key), nullptr) << key;
 
     std::filesystem::remove_all(dir);
 }

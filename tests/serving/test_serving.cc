@@ -382,6 +382,49 @@ TEST(ServingRuntime, ConcurrentSessionsDeliverIndependently)
     EXPECT_EQ(runtime.activeSessions(), 0u);
 }
 
+TEST(ServingRuntime, PacedRunClosesOnDeadlineAndTracesEverySpan)
+{
+    // A producer paced slower than the chunk fills: 16-input chunks at
+    // one input per 5 ms, under a 50 ms budget, so every closure is a
+    // deadline closure with inputs waiting in the queue.  The run must
+    // deliver every input, never push back, leave no session behind,
+    // and record its spans without the rings wrapping.
+    EmaModel::Config mc;
+    mc.inputs = 256;
+    const EmaModel model(mc);
+    FakeClock clock;
+    ServingRuntime runtime(manualOptions(clock));
+    auto &reg = repro::metrics::MetricsRegistry::global();
+    reg.resetAll(); // The queue highwater is a max over the process.
+    SpanRecorder::global().clear();
+
+    SessionConfig cfg;
+    cfg.chunkInputs = 16;
+    cfg.queueCapacity = 64;
+    cfg.latencyBudget = std::chrono::milliseconds(50);
+    const SessionId id = runtime.admit(model, cfg);
+    for (int i = 0; i < 200; ++i) {
+        ASSERT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+        clock.advance(std::chrono::milliseconds(5));
+        runtime.poll();
+    }
+    runtime.drain(id);
+    const auto stats = runtime.sessionStats(id);
+    runtime.evict(id);
+
+    EXPECT_GT(stats.deadlineClosures, 0u);
+    EXPECT_EQ(stats.outputsDelivered, 200u);
+    const auto snap = reg.snapshot();
+    EXPECT_GT(snap.counterValue("serving.deadline_closures"), 0u);
+    EXPECT_EQ(snap.counterValue("serving.inputs_rejected"), 0u);
+    EXPECT_EQ(snap.counterValue("serving.outputs_delivered"),
+              snap.counterValue("serving.inputs_submitted"));
+    EXPECT_EQ(snap.gaugeValue("serving.sessions_active"), 0);
+    EXPECT_GT(snap.gaugeValue("serving.queue_depth_highwater"), 0);
+    EXPECT_GT(snap.counterValue("obs.spans_recorded"), 0u);
+    EXPECT_EQ(snap.counterValue("obs.dropped_spans"), 0u);
+}
+
 TEST(ServingRuntime, EvictionReturnsEveryArenaBlock)
 {
     // A block-payload workload under CopyOnWrite allocates its session

@@ -1,8 +1,9 @@
 /**
  * @file
  * Boundary-reconfiguration determinism tests: live retuning of a
- * serving session must land only at chunk boundaries, and an adaptive
- * run in Frozen mode must stay bit-identical to the batch oracle.
+ * serving session must land only at chunk boundaries, an adaptive run
+ * in Frozen mode must stay bit-identical to the batch oracle, and an
+ * Active controller must retune a live session when its load shifts.
  *
  * Every test runs the coordinator manually against a fake clock, so
  * closure traces — and therefore outputs — are exact.
@@ -15,6 +16,8 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "adapt/serving_adaptor.h"
@@ -299,6 +302,99 @@ TEST(ServingAdapt, FrozenAdaptiveServingMatchesBatchOracle)
         ASSERT_EQ(results.outputs[i], oracle.outputs[i])
             << "input " << i;
     runtime.evict(id);
+}
+
+/** Waits (bounded) until the strand has processed every closed chunk
+ *  of @p id: a pool task runs it, so poll() returns before it does. */
+void
+awaitProcessed(const ServingRuntime &runtime, SessionId id)
+{
+    const auto deadline = Clock::now() + std::chrono::seconds(30);
+    for (;;) {
+        const auto stats = runtime.sessionStats(id);
+        if (stats.chunksProcessed == stats.chunksClosed)
+            return;
+        ASSERT_LT(Clock::now(), deadline) << "strand never caught up";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+}
+
+TEST(ServingAdapt, ActiveAdaptorGrowsChunksWhenLoadShifts)
+{
+    // Phase 1 trickles 2 inputs per 100 ms window under a 50 ms
+    // budget: deadlines close every chunk long before it fills, so
+    // whatever the size threshold, the realized chunk stays at
+    // arrival x budget and no chunk move pays.  Phase 2 bursts until
+    // the ring pushes back: saturated, the threshold is the realized
+    // chunk length, and growing it amortizes the boundary overhead.
+    // The controller must see the shift and retune the live session,
+    // without breaking its dwell or losing an input.
+    EmaModel::Config mc;
+    mc.inputs = 4096;
+    mc.alpha = 0.5;
+    mc.tolerance = 0.1;
+    const EmaModel model(mc);
+
+    FakeClock clock;
+    ServingRuntime runtime(manualOptions(clock));
+    const SessionTuning start{8, 2, 1};
+    SessionConfig sc;
+    sc.seed = 9;
+    sc.chunkInputs = start.chunkInputs;
+    sc.stats.altWindowK = start.altWindowK;
+    sc.stats.numOriginalStates = start.numOriginalStates;
+    sc.queueCapacity = 32;
+    sc.latencyBudget = std::chrono::milliseconds(50);
+    const SessionId id = runtime.admit(model, sc);
+
+    ServingAdaptor::Options ao;
+    ao.controller.initial = start;
+    ao.controller.warmupWindows = 1;
+    ao.controller.dwellWindows = 1;
+    ao.controller.latencyBudgetSeconds = 0.05;
+    // Hold K still: the move under test is the chunk size.
+    ao.controller.kShrinkQuietWindows = 1000;
+    ao.clock = clock.fn();
+    ServingAdaptor adaptor(runtime, ao);
+
+    std::uint64_t accepted = 0;
+    constexpr unsigned kTrickleWindows = 3;
+    for (unsigned w = 0; w < kTrickleWindows; ++w) {
+        for (int i = 0; i < 2; ++i) {
+            ASSERT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+            ++accepted;
+        }
+        clock.advance(std::chrono::milliseconds(100));
+        runtime.poll(); // Past the budget: a deadline closure.
+        awaitProcessed(runtime, id);
+        (void)adaptor.tick();
+    }
+    for (unsigned w = 0; w < 6; ++w) {
+        for (int burst = 0; burst < 4; ++burst) {
+            while (runtime.submit(id).status == SubmitStatus::Accepted)
+                ++accepted;
+            runtime.poll();
+            awaitProcessed(runtime, id);
+        }
+        clock.advance(std::chrono::milliseconds(100));
+        (void)adaptor.tick();
+    }
+    runtime.drain(id);
+    const auto stats = runtime.sessionStats(id);
+    runtime.evict(id);
+
+    const auto &controller = adaptor.controller();
+    ASSERT_FALSE(controller.decisions().empty());
+    const auto &first = controller.decisions().front();
+    EXPECT_TRUE(first.applied);
+    EXPECT_GT(first.window, kTrickleWindows) << "moved before the shift";
+    EXPECT_EQ(std::string(first.knob), "chunk");
+    EXPECT_EQ(first.direction, +1);
+    EXPECT_GE(stats.retunesApplied, 1u);
+    EXPECT_GT(stats.tuning.chunkInputs, start.chunkInputs);
+    EXPECT_EQ(controller.dwellViolations(), 0u);
+    EXPECT_EQ(stats.submitted, accepted);
+    EXPECT_EQ(stats.outputsDelivered, stats.submitted);
 }
 
 } // namespace
