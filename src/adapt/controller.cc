@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <string_view>
 
 #include "metrics/metrics.h"
@@ -71,14 +70,6 @@ ewma(double &acc, double sample, double alpha, bool &seeded)
 {
     acc = seeded ? (1.0 - alpha) * acc + alpha * sample : sample;
     seeded = true;
-}
-
-void
-appendTuningJson(std::ostringstream &os, const SessionTuning &t)
-{
-    os << "{\"chunk_inputs\": " << t.chunkInputs
-       << ", \"alt_window_k\": " << t.altWindowK
-       << ", \"num_original_states\": " << t.numOriginalStates << "}";
 }
 
 } // namespace
@@ -358,34 +349,6 @@ FeedbackController::observe(const WindowObservation &obs)
     dwellRemaining_ = cfg_.dwellWindows;
     decisions_.push_back(d);
     return d;
-}
-
-std::string
-decisionsToJson(const std::vector<Decision> &decisions,
-                const std::string &indent)
-{
-    std::ostringstream os;
-    os << "[";
-    for (std::size_t i = 0; i < decisions.size(); ++i) {
-        const Decision &d = decisions[i];
-        os << (i ? "," : "") << "\n" << indent << "  {";
-        os << "\"window\": " << d.window;
-        os << ", \"at_chunk\": " << d.atChunk;
-        os << ", \"knob\": \"" << d.knob << "\"";
-        os << ", \"direction\": " << d.direction;
-        os << ", \"predicted_gain\": " << d.predictedGain;
-        os << ", \"applied\": " << (d.applied ? "true" : "false");
-        os << ", \"reason\": \"" << d.reason << "\"";
-        os << ", \"from\": ";
-        appendTuningJson(os, d.from);
-        os << ", \"to\": ";
-        appendTuningJson(os, d.to);
-        os << "}";
-    }
-    if (!decisions.empty())
-        os << "\n" << indent;
-    os << "]";
-    return os.str();
 }
 
 } // namespace repro::adapt

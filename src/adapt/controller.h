@@ -228,11 +228,6 @@ class FeedbackController
     std::int64_t gaugeR_ = 0;
 };
 
-/** JSON array rendering of a decision trace.  @p indent prefixes
- *  inner lines. */
-std::string decisionsToJson(const std::vector<Decision> &decisions,
-                            const std::string &indent = "");
-
 } // namespace repro::adapt
 
 #endif // REPRO_ADAPT_CONTROLLER_H

@@ -4,10 +4,11 @@
  *
  * The serving runtime (serving/serving_runtime.h) gives every session a
  * bounded ingestion queue: the session's producer thread pushes input
- * tokens, the coordinator thread pops them into chunks.  Exactly one
- * thread pushes and exactly one thread pops, so the queue needs no
- * locks — head and tail are single-writer atomics, and a full ring is
- * reported to the producer as backpressure instead of blocking it.
+ * tokens, and whichever thread holds the session's consumer lock (the
+ * submit path, the coordinator, or drain) pops them into chunks.  One
+ * thread pushes and one at a time pops, so the queue needs no locks —
+ * head and tail are single-writer atomics, and a full ring is reported
+ * to the producer instead of blocking it.
  *
  * Concurrency contract:
  *  - tryPush may be called by one thread at a time (the producer).

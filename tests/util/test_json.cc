@@ -59,7 +59,10 @@ TEST(JsonEscape, RoundTripsThroughParser)
         std::string("high\xc3\xa9" "bytes\xff"),
     };
     for (const std::string &s : cases) {
-        const std::string wrapped = "\"" + jsonEscape(s) + "\"";
+        std::string wrapped;
+        const std::string escaped = jsonEscape(s);
+        wrapped.reserve(escaped.size() + 2);
+        wrapped.append(1, '"').append(escaped).append(1, '"');
         EXPECT_EQ(JsonValue::parse(wrapped).asString(), s)
             << "escaped form: " << wrapped;
     }
